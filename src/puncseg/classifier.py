@@ -10,6 +10,7 @@ adapter for external models lives in :mod:`puncseg.external`.
 
 from __future__ import annotations
 
+import itertools
 import random
 import struct
 import zlib
@@ -47,10 +48,6 @@ class Classifier(Protocol):
         ...
 
 
-def _bucket(pos: int) -> str:
-    return str(pos) if pos < 4 else "4+"
-
-
 def _shape(word: str) -> str:
     out: list[str] = []
     for ch in word:
@@ -74,8 +71,8 @@ def _hash(feature: str) -> int:
 
 def _context_ids(
     prev: str, cur: str, nxt: str, nxt2: str, bucket: str, is_last: bool
-) -> list[int]:
-    return [
+) -> tuple[int, ...]:
+    return (
         _hash("w=" + cur),
         _hash("p=" + prev),
         _hash("n=" + nxt),
@@ -84,19 +81,30 @@ def _context_ids(
         _hash("s=" + _shape(cur)),
         _hash("b=" + bucket),
         _hash("last=" + ("1" if is_last else "0")),
-    ]
-
-
-def _feature_ids(window: Sequence[str], i: int) -> list[int]:
-    n = len(window)
-    return _context_ids(
-        window[i - 1] if i else _BOS,
-        window[i],
-        window[i + 1] if i + 1 < n else _EOS,
-        window[i + 2] if i + 2 < n else _EOS,
-        _bucket(i),
-        i == n - 1,
     )
+
+
+def _window_keys(window: Sequence[str]) -> list[tuple[str, str, str, str, str, bool]]:
+    """The (prev, cur, nxt, nxt2, bucket, is_last) context of every window position.
+
+    A prediction depends on nothing else, so the key also indexes the label cache.
+    """
+    n = len(window)
+    padded = [_BOS, *window, _EOS, _EOS]
+    buckets = itertools.chain(("0", "1", "2", "3"), itertools.repeat("4+"))
+    is_last = itertools.chain(itertools.repeat(False, n - 1), (True,))
+    return list(zip(padded, window, padded[2:], padded[3:], buckets, is_last))
+
+
+def _scores(weights: dict[int, list[float]], ids: Iterable[int]) -> list[float]:
+    """Per-label sum of the weight rows of ``ids``, added in ``ids`` order."""
+    scores = [0.0] * N_LABELS
+    for fid in ids:
+        row = weights.get(fid)
+        if row is not None:
+            for c in range(N_LABELS):
+                scores[c] += row[c]
+    return scores
 
 
 class LinearModel:
@@ -115,39 +123,17 @@ class LinearModel:
         self.epochs = epochs
         self._label_cache: dict[tuple, int] = {}
 
-    def _predict(self, ids: Iterable[int]) -> int:
-        scores = [0.0] * N_LABELS
-        weights = self.weights
-        for fid in ids:
-            row = weights.get(fid)
-            if row is not None:
-                for c in range(N_LABELS):
-                    scores[c] += row[c]
-        best = 0
-        for c in range(1, N_LABELS):
-            if scores[c] > scores[best]:
-                best = c
-        return best
-
     def classify(self, window: Sequence[str]) -> list[PunctLabel]:
         if not window:
             raise EmptyWindowError("classify needs at least one word")
-        n = len(window)
         cache = self._label_cache
         out: list[PunctLabel] = []
-        for i in range(n):
-            key = (
-                window[i - 1] if i else _BOS,
-                window[i],
-                window[i + 1] if i + 1 < n else _EOS,
-                window[i + 2] if i + 2 < n else _EOS,
-                _bucket(i),
-                i == n - 1,
-            )
+        for key in _window_keys(window):
             idx = cache.get(key)
             if idx is None:
-                idx = self._predict(_context_ids(*key))
-                cache[key] = idx
+                scores = _scores(self.weights, _context_ids(*key))
+                # the first maximum: ties go to the earlier label
+                idx = cache[key] = scores.index(max(scores))
             out.append(LABELS[idx])
         return out
 
@@ -166,9 +152,9 @@ def _pooled_examples(
         words = [t.word for t in doc.tokens]
         golds = [LABEL_INDEX[t.label] for t in doc.tokens]
         for start in range(0, len(words), window_words):
-            window = words[start : start + window_words]
-            for i in range(len(window)):
-                examples.append((tuple(_feature_ids(window, i)), golds[start + i]))
+            keys = _window_keys(words[start : start + window_words])
+            for i, key in enumerate(keys, start):
+                examples.append((_context_ids(*key), golds[i]))
     examples.sort()
     return examples
 
@@ -216,12 +202,7 @@ def train_reference(
         for ei in order:
             ids, gold = examples[ei]
             step += 1
-            scores = [0.0] * N_LABELS
-            for fid in ids:
-                row = weights.get(fid)
-                if row is not None:
-                    for c in range(N_LABELS):
-                        scores[c] += row[c]
+            scores = _scores(weights, ids)
             rival = 0 if gold != 0 else 1
             for c in range(N_LABELS):
                 if c != gold and scores[c] > scores[rival]:

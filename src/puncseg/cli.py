@@ -224,22 +224,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chunked_labels(classifier, words: list[str], window: int) -> list[PunctLabel]:
-    limit = getattr(classifier, "max_window_words", None)
-    size = window if limit is None else min(window, limit)
-    labels: list[PunctLabel] = []
-    for off in range(0, len(words), size):
-        labels.extend(classifier.classify(words[off : off + size]))
-    return labels
-
-
 def cmd_classify(args: argparse.Namespace) -> int:
     _require_files(args.input)
     settings = resolve_settings(args)
     classifier = make_classifier(settings["classifier"])
     doc = parse_sepp_file(args.input)
     words = doc.words()
-    labels = _chunked_labels(classifier, words, settings["window"])
+    labels = segmenter.classify_chunked(classifier, words, settings["window"])
     pred = _predictions_document(words, labels, set(), source_id=str(args.input))
     _emit(write_sepp(pred), args.out)
     return 0

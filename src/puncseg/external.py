@@ -98,10 +98,11 @@ class ExternalClassifier:
     def classify(self, window: Sequence[str]) -> list[PunctLabel]:
         if not window:
             raise EmptyWindowError("classify needs at least one word")
-        for word in window:
-            if not word or " " in word or "\n" in word or "\t" in word:
-                raise ValueError(f"word {word!r} cannot cross the line protocol")
-        request = " ".join(window) + "\n"
+        joined = " ".join(window)
+        if joined.split() != list(window):
+            bad = next(word for word in window if word.split() != [word])
+            raise ValueError(f"word {bad!r} cannot cross the line protocol")
+        request = joined + "\n"
 
         restarts = 0
         while True:
@@ -110,30 +111,30 @@ class ExternalClassifier:
             try:
                 self._proc.stdin.write(request)
                 self._proc.stdin.flush()
-            except (BrokenPipeError, OSError):
-                self._kill()
-                restarts += 1
-                if restarts > self.config.max_restarts:
-                    raise ProcessDiedError(
-                        f"child died {restarts} time(s); restart budget exhausted"
+            except OSError:  # includes BrokenPipeError: the child is gone
+                line = None
+            else:
+                try:
+                    line = self._lines.get(timeout=self.config.timeout)
+                except queue.Empty:
+                    self._kill()
+                    raise AdapterTimeoutError(
+                        f"no response within {self.config.timeout}s"
                     ) from None
-                continue
-            try:
-                line = self._lines.get(timeout=self.config.timeout)
-            except queue.Empty:
-                self._kill()
-                raise AdapterTimeoutError(
-                    f"no response within {self.config.timeout}s"
-                ) from None
-            if line is None:
-                self._kill()
-                restarts += 1
-                if restarts > self.config.max_restarts:
-                    raise ProcessDiedError(
-                        f"child died {restarts} time(s); restart budget exhausted"
-                    )
-                continue
+            if line is not None:
+                break
+            self._kill()
+            restarts += 1
+            if restarts > self.config.max_restarts:
+                raise ProcessDiedError(
+                    f"child died {restarts} time(s); restart budget exhausted"
+                )
+        try:
             return _parse_response(line, len(window))
+        except (ProtocolLengthError, ProtocolLabelError):
+            # Lines the child wrote beyond its answer would be read as the next answer.
+            self._kill()
+            raise
 
 
 def _parse_response(line: str, expected: int) -> list[PunctLabel]:
@@ -147,9 +148,3 @@ def _parse_response(line: str, expected: int) -> list[PunctLabel]:
         except KeyError:
             raise ProtocolLabelError(f"unknown label {part!r} in response") from None
     return labels
-
-
-def classify_external(cfg: ExternalAdapterConfig, window: Sequence[str]) -> list[PunctLabel]:
-    """One-shot convenience wrapper; long-running callers should hold an ExternalClassifier."""
-    with ExternalClassifier(cfg) as classifier:
-        return classifier.classify(window)

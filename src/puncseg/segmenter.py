@@ -10,7 +10,7 @@ labels from the segmenting set cut the stream after their word.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ class SegmenterConfig:
     theta: float = 0.1
     segmenters: frozenset[PunctLabel] = DEFAULT_SEGMENTERS
     pooling: str = "per_class"
-    chunk_token_budget: int = 512
 
     def __post_init__(self) -> None:
         if self.window_words < 1:
@@ -45,8 +44,6 @@ class SegmenterConfig:
             raise ValueError("NONE cannot segment")
         if self.pooling not in ("per_class", "pooled"):
             raise ValueError(f"unknown pooling mode {self.pooling!r}")
-        if self.chunk_token_budget < 1:
-            raise ValueError("chunk_token_budget must be positive")
         object.__setattr__(self, "segmenters", frozenset(self.segmenters))
 
 
@@ -94,27 +91,30 @@ class VoteTable:
         return VoteTable(self.counts + other.counts, self.coverage + other.coverage)
 
 
-def _call_classifier(
-    classifier: Classifier, words: list[str], cfg: SegmenterConfig, start: int
+def classify_chunked(
+    classifier: Classifier, words: Sequence[str], window_words: int, start: int = 0
 ) -> list[PunctLabel]:
-    """Classify one window, chunking when it exceeds the classifier's call limit."""
+    """Label ``words`` in calls of at most min(window_words, classifier limit) words.
+
+    ``start`` is the position of ``words[0]`` in the stream; a failing call
+    or a reply of the wrong length raises WindowClassifyError naming the
+    stream position where that call began.
+    """
     limit = getattr(classifier, "max_window_words", None)
-    if limit is None or len(words) <= limit:
-        chunks: Iterator[list[str]] = iter([words])
-    else:
-        size = min(cfg.window_words, limit)
-        chunks = (words[off : off + size] for off in range(0, len(words), size))
+    size = window_words if limit is None else min(window_words, limit)
     labels: list[PunctLabel] = []
-    for chunk in chunks:
+    for off in range(0, len(words), size):
+        chunk = words[off : off + size]
+        at = start + off
         try:
             part = classifier.classify(chunk)
         except Exception as exc:
             raise WindowClassifyError(
-                start, f"classifier failed in window starting at word {start}: {exc}"
+                at, f"classifier failed in window starting at word {at}: {exc}"
             ) from exc
         if len(part) != len(chunk):
             raise WindowClassifyError(
-                start, f"classifier broke the length contract at window {start}"
+                at, f"classifier broke the length contract at window {at}"
             )
         labels.extend(part)
     return labels
@@ -126,7 +126,7 @@ def accumulate_votes(
     """Classify every window once and tally one vote per covered word."""
     votes = VoteTable.zeros(len(stream))
     for window in windows(stream, cfg):
-        labels = _call_classifier(classifier, window.words, cfg, window.start)
+        labels = classify_chunked(classifier, window.words, cfg.window_words, window.start)
         votes.add_window(window.start, [LABEL_INDEX[label] for label in labels])
     return votes
 
@@ -145,6 +145,8 @@ def decide(
     """
     seg_idx = sorted(LABEL_INDEX[label] for label in cfg.segmenters)
     seg_set = set(seg_idx)
+    pooled = cfg.pooling == "pooled"
+    candidates = [c for c in range(1, N_LABELS) if not (pooled and c in seg_set)]
     theta = cfg.theta
     labels: list[PunctLabel] = []
     boundaries: set[int] = set()
@@ -156,31 +158,19 @@ def decide(
             labels.append(PunctLabel.NONE)
             continue
         row = counts[i]
-        if cfg.pooling == "per_class":
+        if pooled and sum(row[c] / cov for c in seg_idx) > theta:
+            best = seg_idx[0]
+            for c in seg_idx[1:]:
+                if row[c] > row[best]:
+                    best = c
+        else:
             best = 0
             best_ratio = theta
-            for c in range(1, N_LABELS):
+            for c in candidates:
                 ratio = row[c] / cov
                 if ratio > best_ratio:
                     best = c
                     best_ratio = ratio
-        else:
-            pooled = sum(row[c] / cov for c in seg_idx)
-            if pooled > theta:
-                best = seg_idx[0]
-                for c in seg_idx[1:]:
-                    if row[c] > row[best]:
-                        best = c
-            else:
-                best = 0
-                best_ratio = theta
-                for c in range(1, N_LABELS):
-                    if c in seg_set:
-                        continue
-                    ratio = row[c] / cov
-                    if ratio > best_ratio:
-                        best = c
-                        best_ratio = ratio
         labels.append(LABELS[best])
         if best in seg_set:
             boundaries.add(i)

@@ -38,9 +38,6 @@ class PunctLabel(enum.Enum):
 
 _LABEL_BY_CHAR = {label.value: label for label in PunctLabel}
 
-#: Tie-break order shared by classifiers and the segmenter.
-TIE_ORDER: tuple[PunctLabel, ...] = tuple(PunctLabel)
-
 #: Row/column order used by confusion matrices and evaluation reports.
 REPORT_ORDER: tuple[PunctLabel, ...] = (
     PunctLabel.NONE,

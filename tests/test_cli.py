@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -323,6 +324,60 @@ def test_classify_train_round_trip(tmp_path, capsys):
         1 for g, p in zip(gold_doc.tokens, pred_doc.tokens) if g.label is p.label
     )
     assert agree / len(gold_doc) > 0.95
+
+
+@pytest.fixture
+def period_at_request_end(tmp_path):
+    """External classifier spec whose child marks the last word of every request."""
+    script = tmp_path / "last_word.py"
+    script.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    labels = ['0'] * len(line.split())\n"
+        "    labels[-1] = '.'\n"
+        "    print(' '.join(labels), flush=True)\n",
+        encoding="utf-8",
+    )
+    return f"external:{sys.executable} {script}"
+
+
+@pytest.mark.parametrize(
+    "n_words, window, request_ends",
+    [(10, "3", [2, 5, 8, 9]), (450, "300", [199, 399, 449])],
+)
+def test_classify_chunks_at_window_or_classifier_limit(
+    tmp_path, capsys, period_at_request_end, n_words, window, request_ends
+):
+    # The external adapter accepts at most 200 words per request.
+    doc = tmp_path / "doc.tsv"
+    write_sepp_file(document_for([f"w{i}" for i in range(n_words)], {}), doc)
+    code, out, _ = run(
+        capsys, "classify", str(doc), "--classifier", period_at_request_end, "--window", window
+    )
+    assert code == 0
+    labels = [t.label for t in parse_sepp(out)]
+    assert [i for i, label in enumerate(labels) if label is P] == request_ends
+
+
+def test_classify_word_the_protocol_cannot_carry_is_a_coded_error(
+    tmp_path, capsys, period_at_request_end
+):
+    doc = tmp_path / "doc.tsv"
+    write_sepp_file(document_for(["twee woorden", "hier"], {1: P}), doc)
+    code, _, err = run(capsys, "classify", str(doc), "--classifier", period_at_request_end)
+    assert code == 1
+    assert err.startswith("error: [WINDOW_CLASSIFY] ")
+    assert "Traceback" not in err
+
+
+def test_classify_replay_mismatch_is_a_coded_error(tmp_path, capsys):
+    doc = tmp_path / "doc.tsv"
+    write_sepp_file(document_for(["onbekend", "stream"], {1: P}), doc)
+    recorded = tmp_path / "recorded.tsv"
+    write_sepp_file(document_for(["heel", "andere", "tekst"], {2: P}), recorded)
+    code, _, err = run(capsys, "classify", str(doc), "--classifier", f"replay:{recorded}")
+    assert code == 1
+    assert err.startswith("error: [WINDOW_CLASSIFY] ")
 
 
 def test_significance_identical_conditions(tmp_path, capsys):

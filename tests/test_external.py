@@ -10,7 +10,7 @@ from puncseg.errors import (
     ProtocolLabelError,
     ProtocolLengthError,
 )
-from puncseg.external import ExternalAdapterConfig, ExternalClassifier, classify_external
+from puncseg.external import ExternalAdapterConfig, ExternalClassifier
 from puncseg.sepp import PunctLabel
 
 N = PunctLabel.NONE
@@ -39,8 +39,8 @@ def echo_period(tmp_path):
 
 
 def test_echo_stub_round_trip(echo_period):
-    cfg = ExternalAdapterConfig(echo_period, timeout=10)
-    assert classify_external(cfg, ["kijk", "om", "je", "heen"]) == [N, N, N, P]
+    with ExternalClassifier(ExternalAdapterConfig(echo_period, timeout=10)) as clf:
+        assert clf.classify(["kijk", "om", "je", "heen"]) == [N, N, N, P]
 
 
 def test_requests_answered_in_order(tmp_path):
@@ -71,8 +71,9 @@ def test_length_mismatch_detected(tmp_path):
             print(" ".join(["0"] * n), flush=True)
         """,
     )
-    with pytest.raises(ProtocolLengthError):
-        classify_external(ExternalAdapterConfig(cmd, timeout=10), ["a", "b", "c", "d"])
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        with pytest.raises(ProtocolLengthError):
+            clf.classify(["a", "b", "c", "d"])
 
 
 def test_bad_label_detected(tmp_path):
@@ -87,8 +88,9 @@ def test_bad_label_detected(tmp_path):
             print(" ".join(labels), flush=True)
         """,
     )
-    with pytest.raises(ProtocolLabelError):
-        classify_external(ExternalAdapterConfig(cmd, timeout=10), ["a", "b", "c", "d"])
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        with pytest.raises(ProtocolLabelError):
+            clf.classify(["a", "b", "c", "d"])
 
 
 def test_timeout_raises(tmp_path):
@@ -101,14 +103,16 @@ def test_timeout_raises(tmp_path):
         time.sleep(600)
         """,
     )
-    with pytest.raises(AdapterTimeoutError):
-        classify_external(ExternalAdapterConfig(cmd, timeout=0.5), ["a", "b"])
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=0.5)) as clf:
+        with pytest.raises(AdapterTimeoutError):
+            clf.classify(["a", "b"])
 
 
 def test_dead_child_exhausts_restart_budget(tmp_path):
     cmd = _stub(tmp_path, "dies", "import sys; sys.exit(3)")
-    with pytest.raises(ProcessDiedError):
-        classify_external(ExternalAdapterConfig(cmd, timeout=5, max_restarts=2), ["a"])
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=5, max_restarts=2)) as clf:
+        with pytest.raises(ProcessDiedError):
+            clf.classify(["a"])
 
 
 def test_restart_resends_request(tmp_path):
@@ -131,6 +135,32 @@ def test_restart_resends_request(tmp_path):
     assert marker.read_text() == "xx"
 
 
+@pytest.mark.parametrize(
+    "first_answer, error",
+    [("0", ProtocolLengthError), ("0 ;", ProtocolLabelError)],
+)
+def test_protocol_violation_restarts_child(tmp_path, first_answer, error):
+    # The bad answer to "a b" is followed by an extra line; a child kept
+    # alive would serve that line as the answer to the next request.
+    cmd = _stub(
+        tmp_path,
+        "extra_line",
+        f"""
+        import sys
+        for line in sys.stdin:
+            if line.split() == ["a", "b"]:
+                print({first_answer!r}, flush=True)
+                print(". .", flush=True)
+            else:
+                print(" ".join(["0"] * len(line.split())), flush=True)
+        """,
+    )
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        with pytest.raises(error):
+            clf.classify(["a", "b"])
+        assert clf.classify(["c", "d"]) == [N, N]
+
+
 def test_empty_window_rejected(echo_period):
     with ExternalClassifier(ExternalAdapterConfig(echo_period)) as clf:
         with pytest.raises(EmptyWindowError):
@@ -139,8 +169,9 @@ def test_empty_window_rejected(echo_period):
 
 def test_words_with_spaces_rejected(echo_period):
     with ExternalClassifier(ExternalAdapterConfig(echo_period)) as clf:
-        with pytest.raises(ValueError):
-            clf.classify(["twee woorden"])
+        for word in ["twee woorden", "a\rx", "a\x0bx", "a\xa0x", ""]:
+            with pytest.raises(ValueError):
+                clf.classify(["goed", word])
 
 
 def test_config_validation():
