@@ -33,6 +33,11 @@ N_LABELS = len(LABELS)
 FEATURE_SPACE = 1 << 20
 TEMPLATE_VERSION = 1
 
+#: Entries a LinearModel label cache holds before it is emptied.  A
+#: sliding window keeps about 7 contexts per window word live, so a clear
+#: costs at most one window of re-scoring.
+_LABEL_CACHE_MAX = 1 << 16
+
 _BOS = "<s>"
 _EOS = "</s>"
 
@@ -110,8 +115,8 @@ def _scores(weights: dict[int, list[float]], ids: Iterable[int]) -> list[float]:
 class LinearModel:
     """Averaged linear per-token classifier over hashed features.
 
-    Instances are immutable once built; a context -> label cache makes
-    repeated sliding-window calls cheap.
+    Instances are immutable once built; a bounded context -> label cache
+    makes repeated sliding-window calls cheap.
     """
 
     name = "linear"
@@ -131,6 +136,8 @@ class LinearModel:
         for key in _window_keys(window):
             idx = cache.get(key)
             if idx is None:
+                if len(cache) >= _LABEL_CACHE_MAX:
+                    cache.clear()
                 scores = _scores(self.weights, _context_ids(*key))
                 # the first maximum: ties go to the earlier label
                 idx = cache[key] = scores.index(max(scores))
@@ -331,7 +338,9 @@ class ReplayClassifier:
     """Serves pre-recorded labels for windows of a fixed word stream.
 
     Windows are located as the first contiguous match inside the recorded
-    stream, so sliding windows over the same stream replay exactly.
+    stream, so sliding windows over the same stream replay exactly.  Each
+    distinct word is encoded as a fixed-width id, so a window is found by
+    ``bytes.find`` over the encoded stream.
     """
 
     name = "replay"
@@ -342,18 +351,28 @@ class ReplayClassifier:
             raise ValueError("words and labels must align")
         self.words = list(words)
         self.labels = list(labels)
+        ids = dict.fromkeys(self.words)
+        self._width = max(1, (len(ids).bit_length() + 7) // 8)
+        self._codes = {w: i.to_bytes(self._width, "little") for i, w in enumerate(ids)}
+        self._encoded = b"".join(self._codes[w] for w in self.words)
 
     @classmethod
     def from_document(cls, doc: SeppDocument) -> "ReplayClassifier":
         return cls([t.word for t in doc.tokens], [t.label for t in doc.tokens])
 
     def _find(self, window: Sequence[str]) -> int:
-        target = list(window)
-        n, m = len(self.words), len(target)
-        for start in range(n - m + 1):
-            if self.words[start : start + m] == target:
-                return start
-        raise ValueError("window is not a contiguous part of the replay stream")
+        codes = self._codes
+        width = self._width
+        pos = -1
+        if all(w in codes for w in window):
+            target = b"".join(codes[w] for w in window)
+            pos = self._encoded.find(target)
+            # skip matches inside a word's id; test -1 first, as -1 % width != 0
+            while pos != -1 and pos % width:
+                pos = self._encoded.find(target, pos + width - pos % width)
+        if pos == -1:
+            raise ValueError("window is not a contiguous part of the replay stream")
+        return pos // width
 
     def classify(self, window: Sequence[str]) -> list[PunctLabel]:
         if not window:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .classifier import LABEL_INDEX, LABELS, N_LABELS, Classifier
 from .errors import EmptyStreamError, WindowClassifyError
 from .sepp import DEFAULT_SEGMENTERS, PunctLabel
@@ -68,27 +66,31 @@ def windows(stream: Sequence[str], cfg: SegmenterConfig) -> list[Window]:
 class VoteTable:
     """Per word: label vote counts over covering windows, plus coverage."""
 
-    counts: np.ndarray  # (n_words, n_labels) int64, label axis in tie order
-    coverage: np.ndarray  # (n_words,) int64
+    counts: list[list[int]]  # one row of N_LABELS ints per word, label axis in tie order
+    coverage: list[int]
 
     @classmethod
     def zeros(cls, n_words: int) -> "VoteTable":
-        return cls(
-            counts=np.zeros((n_words, N_LABELS), dtype=np.int64),
-            coverage=np.zeros(n_words, dtype=np.int64),
-        )
+        return cls([[0] * N_LABELS for _ in range(n_words)], [0] * n_words)
 
     def __len__(self) -> int:
         return len(self.coverage)
 
-    def add_window(self, start: int, label_indices: Sequence[int]) -> None:
-        rows = np.arange(start, start + len(label_indices))
-        np.add.at(self.counts, (rows, np.asarray(label_indices)), 1)
-        self.coverage[start : start + len(label_indices)] += 1
+    def add_window(self, start: int, labels: Sequence[PunctLabel]) -> None:
+        """Count one vote per label, the first for word ``start``."""
+        counts = self.counts
+        coverage = self.coverage
+        for i, label in enumerate(labels, start):
+            counts[i][LABEL_INDEX[label]] += 1
+            coverage[i] += 1
 
     def merge(self, other: "VoteTable") -> "VoteTable":
         """Associative addition, so per-window partial tables can be folded in any order."""
-        return VoteTable(self.counts + other.counts, self.coverage + other.coverage)
+        counts = [
+            [a + b for a, b in zip(mine, theirs)]
+            for mine, theirs in zip(self.counts, other.counts)
+        ]
+        return VoteTable(counts, [a + b for a, b in zip(self.coverage, other.coverage)])
 
 
 def classify_chunked(
@@ -127,7 +129,7 @@ def accumulate_votes(
     votes = VoteTable.zeros(len(stream))
     for window in windows(stream, cfg):
         labels = classify_chunked(classifier, window.words, cfg.window_words, window.start)
-        votes.add_window(window.start, [LABEL_INDEX[label] for label in labels])
+        votes.add_window(window.start, labels)
     return votes
 
 
@@ -153,7 +155,7 @@ def decide(
     counts = votes.counts
     coverage = votes.coverage
     for i in range(len(votes)):
-        cov = int(coverage[i])
+        cov = coverage[i]
         if cov == 0:
             labels.append(PunctLabel.NONE)
             continue
@@ -191,32 +193,31 @@ class SegmentedText:
     labels: list[PunctLabel]
     boundaries: list[int] = field(default_factory=list)
 
-    def segments(self) -> list[Segment]:
-        out: list[Segment] = []
+    def _spans(self) -> list[tuple[int, int, PunctLabel]]:
+        """(start, stop, terminal) of each segment, one per boundary plus any open tail."""
+        spans: list[tuple[int, int, PunctLabel]] = []
         start = 0
         for b in self.boundaries:
-            out.append(Segment(self.words[start : b + 1], self.labels[b]))
+            spans.append((start, b + 1, self.labels[b]))
             start = b + 1
         if start < len(self.words):
-            out.append(Segment(self.words[start:], PunctLabel.NONE))
-        return out
+            spans.append((start, len(self.words), PunctLabel.NONE))
+        return spans
+
+    def segments(self) -> list[Segment]:
+        return [Segment(self.words[a:b], terminal) for a, b, terminal in self._spans()]
 
     def to_text(self) -> str:
         """One segment per line; accepted marks attach to their word without a space."""
-        if not self.words:
-            return ""
-        lines: list[str] = []
-        start = 0
-        cuts = list(self.boundaries) + (
-            [] if self.boundaries and self.boundaries[-1] == len(self.words) - 1 else [len(self.words) - 1]
-        )
-        for b in cuts:
-            parts = []
-            for i in range(start, b + 1):
-                label = self.labels[i]
-                parts.append(self.words[i] + ("" if label is PunctLabel.NONE else label.char))
-            lines.append(" ".join(parts))
-            start = b + 1
+        words = self.words
+        labels = self.labels
+        lines = [
+            " ".join(
+                words[i] + ("" if labels[i] is PunctLabel.NONE else labels[i].char)
+                for i in range(a, b)
+            )
+            for a, b, _ in self._spans()
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from corpora import template_corpus
 from puncseg.classifier import (
     LinearModel,
     ReplayClassifier,
@@ -205,3 +206,67 @@ def test_replay_classifier_returns_recorded_labels():
         replay.classify(["niet", "aanwezig"])
     with pytest.raises(EmptyWindowError):
         replay.classify([])
+
+
+def _linear_find(words, window):
+    """The word-by-word scan the encoded search replaced: first contiguous match."""
+    m = len(window)
+    for start in range(len(words) - m + 1):
+        if words[start : start + m] == list(window):
+            return start
+    return None
+
+
+def _find_or_none(replay, window):
+    try:
+        return replay._find(window)
+    except ValueError:
+        return None
+
+
+def test_replay_find_matches_linear_scan_on_repetitive_streams():
+    rng = random.Random(4)
+    for case in range(300):
+        # a prefix of rare words widens the ids to 2 bytes in half the cases,
+        # so byte matches that straddle two ids occur
+        prefix = [f"r{i}" for i in range(rng.choice([0, 300]))]
+        body = [rng.choice(["ab", "ba", "r1", "r256"]) for _ in range(rng.randrange(1, 60))]
+        words = prefix + body
+        replay = ReplayClassifier(words, [N] * len(words))
+        for _ in range(10):
+            if rng.random() < 0.5:
+                start = rng.randrange(len(words))
+                window = words[start : start + rng.randrange(1, 8)]
+            else:
+                pool = ["ab", "ba", "r1", "r256", "r257"]
+                window = [rng.choice(pool) for _ in range(rng.randrange(1, 5))]
+            assert _find_or_none(replay, window) == _linear_find(words, window), (case, window)
+
+
+def test_replay_find_skips_a_match_inside_two_word_ids():
+    # 258 distinct words need 2-byte little-endian ids: r0 is 00 00, r1 is 01 00,
+    # r256 is 00 01 and r257 is 01 01
+    words = [f"r{i}" for i in range(258)] + ["r256", "r256", "r0"]
+    replay = ReplayClassifier(words, [N] * len(words))
+    # "r256 r257" holds 01 01 one byte before r257's own id
+    assert replay._find(["r257"]) == 257
+    assert replay._find(["r256", "r0"]) == len(words) - 2
+    # "r256 r256 r0" holds r1 r1 (01 00 01 00) only at an odd byte offset
+    with pytest.raises(ValueError):
+        replay._find(["r1", "r1"])
+    with pytest.raises(ValueError):
+        replay._find(["r0", "r0"])
+
+
+def test_label_cache_stays_bounded_and_labels_match_a_fresh_model(monkeypatch):
+    from puncseg import classifier
+
+    monkeypatch.setattr(classifier, "_LABEL_CACHE_MAX", 40)
+    model = train_reference([template_corpus(200, seed=3)], epochs=2, seed=0)
+    rng = random.Random(8)
+    vocab = sorted({t.word for t in template_corpus(50, seed=1).tokens}) + ["x", "y"]
+    for _ in range(60):
+        window = [rng.choice(vocab) for _ in range(rng.randrange(1, 30))]
+        got = model.classify(window)
+        assert len(model._label_cache) <= 40
+        assert got == LinearModel(model.weights).classify(window)

@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from oracles import HashClassifier, brute_force_segment, brute_force_votes
@@ -105,7 +108,7 @@ def test_accumulate_single_window_votes():
     votes = accumulate_votes(["a", "b", "c"], FixedLabels([N, N, P]), cfg)
     assert list(votes.coverage) == [1, 1, 1]
     assert votes.counts[2][1] == 1  # PERIOD vote on the last word
-    assert votes.counts.sum() == 3
+    assert sum(map(sum, votes.counts)) == 3
 
 
 def test_accumulate_coverage_n4_w3():
@@ -118,15 +121,15 @@ def test_accumulate_deterministic():
     cfg = SegmenterConfig(window_words=4, stride=2)
     one = accumulate_votes(_stream(9), HashClassifier(7), cfg)
     two = accumulate_votes(_stream(9), HashClassifier(7), cfg)
-    assert np.array_equal(one.counts, two.counts)
-    assert np.array_equal(one.coverage, two.coverage)
+    assert one.counts == two.counts
+    assert one.coverage == two.coverage
 
 
 def test_vote_table_sums_match_coverage():
     cfg = SegmenterConfig(window_words=5, stride=2)
     votes = accumulate_votes(_stream(17), HashClassifier(3, spread=6), cfg)
-    assert np.array_equal(votes.counts.sum(axis=1), votes.coverage)
-    assert votes.coverage.max() <= -(-cfg.window_words // cfg.stride)
+    assert [sum(row) for row in votes.counts] == votes.coverage
+    assert max(votes.coverage) <= -(-cfg.window_words // cfg.stride)
 
 
 def test_vote_table_merge_matches_sequential():
@@ -136,22 +139,32 @@ def test_vote_table_merge_matches_sequential():
     full = accumulate_votes(stream, clf, cfg)
     # accumulate each window into its own partial table, then fold
     partial = VoteTable.zeros(len(stream))
-    from puncseg.classifier import LABEL_INDEX
-
     for w in windows(stream, cfg):
         piece = VoteTable.zeros(len(stream))
-        piece.add_window(w.start, [LABEL_INDEX[l] for l in clf.classify(w.words)])
+        piece.add_window(w.start, clf.classify(w.words))
         partial = partial.merge(piece)
-    assert np.array_equal(partial.counts, full.counts)
-    assert np.array_equal(partial.coverage, full.coverage)
+    assert partial.counts == full.counts
+    assert partial.coverage == full.coverage
+
+
+def test_import_leaves_numpy_unloaded():
+    import puncseg
+
+    src = str(Path(puncseg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, puncseg.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def _table(rows, coverage):
-    counts = np.zeros((len(coverage), 6), dtype=np.int64)
+    counts = [[0] * 6 for _ in coverage]
     for i, row in rows.items():
         for label_idx, count in row.items():
             counts[i][label_idx] = count
-    return VoteTable(counts, np.array(coverage, dtype=np.int64))
+    return VoteTable(counts, list(coverage))
 
 
 def test_decide_accepts_above_threshold():
