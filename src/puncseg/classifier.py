@@ -23,7 +23,7 @@ from .errors import (
     EmptyWindowError,
     VersionMismatchError,
 )
-from .sepp import PunctLabel, SeppDocument, label_from_char
+from .sepp import PunctLabel, SeppDocument, atomic_write
 
 LABELS: tuple[PunctLabel, ...] = tuple(PunctLabel)
 LABEL_INDEX: dict[PunctLabel, int] = {label: i for i, label in enumerate(LABELS)}
@@ -232,105 +232,79 @@ def train_reference(
 
 _MAGIC = b"FSLM"
 _FORMAT_VERSION = 1
-
-
-def _section(payload: bytes) -> bytes:
-    return struct.pack("<I", len(payload)) + payload
-
-
-class _Reader:
-    def __init__(self, data: bytes, offset: int):
-        self.data = data
-        self.offset = offset
-
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
-            raise CorruptModelError("unexpected end of model file")
-        chunk = self.data[self.offset : self.offset + n]
-        self.offset += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_META = struct.Struct("<IIqI")  # feature space, template version, seed, epochs
+_TRIPLE = struct.Struct("<IId")  # feature id, label index, weight
+#: The label count, then each label's UTF-8 mark behind its byte length.
+_LABEL_SECTION = _U32.pack(N_LABELS) + b"".join(
+    _U32.pack(len(raw)) + raw for raw in (label.char.encode("utf-8") for label in LABELS)
+)
 
 
 def save_model(model: LinearModel, path) -> None:
-    """Write a model file: magic, version, then length-prefixed sections."""
-    meta = struct.pack("<IIqI", FEATURE_SPACE, TEMPLATE_VERSION, model.seed, model.epochs)
-
-    label_parts = [struct.pack("<I", len(LABELS))]
-    for label in LABELS:
-        raw = label.char.encode("utf-8")
-        label_parts.append(struct.pack("<I", len(raw)) + raw)
-
-    triples = [
-        (fid, c, row[c])
+    """Write a model file atomically: magic, version, then length-prefixed sections."""
+    triples = b"".join(
+        _TRIPLE.pack(fid, c, row[c])
         for fid, row in sorted(model.weights.items())
         for c in range(N_LABELS)
         if row[c] != 0.0
-    ]
-    weight_parts = [struct.pack("<Q", len(triples))]
-    weight_parts.extend(struct.pack("<IId", fid, c, w) for fid, c, w in triples)
-
-    blob = (
-        _MAGIC
-        + struct.pack("<I", _FORMAT_VERSION)
-        + _section(meta)
-        + _section(b"".join(label_parts))
-        + _section(b"".join(weight_parts))
     )
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    sections = (
+        _META.pack(FEATURE_SPACE, TEMPLATE_VERSION, model.seed, model.epochs),
+        _LABEL_SECTION,
+        _U64.pack(len(triples) // _TRIPLE.size) + triples,
+    )
+    blob = _MAGIC + _U32.pack(_FORMAT_VERSION) + b"".join(_U32.pack(len(s)) + s for s in sections)
+    atomic_write(path, blob)
 
 
 def load_model(path) -> LinearModel:
+    """Read a file written by :func:`save_model`; any defect raises a coded error."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 4:
         raise CorruptModelError("file too short for magic header")
     if data[:4] != _MAGIC:
         raise BadMagicError(f"bad magic {data[:4]!r}")
-    reader = _Reader(data, 4)
-    (version,) = reader.unpack("<I")
-    if version != _FORMAT_VERSION:
-        raise VersionMismatchError(f"model format version {version}, expected {_FORMAT_VERSION}")
-
-    (meta_len,) = reader.unpack("<I")
-    meta = _Reader(reader.take(meta_len), 0)
-    feature_space, template_version, seed, epochs = meta.unpack("<IIqI")
+    try:
+        (version,) = _U32.unpack_from(data, 4)
+        if version != _FORMAT_VERSION:
+            raise VersionMismatchError(
+                f"model format version {version}, expected {_FORMAT_VERSION}"
+            )
+        sections = []
+        end = 8
+        for _ in range(3):
+            start = end + _U32.size
+            end = start + _U32.unpack_from(data, end)[0]
+            if end > len(data):
+                raise CorruptModelError("unexpected end of model file")
+            sections.append(data[start:end])
+        if end != len(data):
+            raise CorruptModelError("trailing bytes after final section")
+        feature_space, template_version, seed, epochs = _META.unpack(sections[0])
+        (n_triples,) = _U64.unpack_from(sections[2])
+    except struct.error as exc:
+        raise CorruptModelError(f"malformed model file: {exc}") from None
     if feature_space != FEATURE_SPACE or template_version != TEMPLATE_VERSION:
         raise VersionMismatchError(
             f"feature space {feature_space}/template {template_version} not supported"
         )
-
-    (labels_len,) = reader.unpack("<I")
-    labels_reader = _Reader(reader.take(labels_len), 0)
-    (n_labels,) = labels_reader.unpack("<I")
-    labels: list[PunctLabel] = []
-    for _ in range(n_labels):
-        (raw_len,) = labels_reader.unpack("<I")
-        ch = labels_reader.take(raw_len).decode("utf-8")
-        try:
-            labels.append(label_from_char(ch))
-        except KeyError:
-            raise CorruptModelError(f"unknown label {ch!r} in model file") from None
-    if tuple(labels) != LABELS:
+    if sections[1] != _LABEL_SECTION:
         raise CorruptModelError("model label list does not match the known alphabet")
+    body = sections[2][_U64.size :]
+    if len(body) != n_triples * _TRIPLE.size:
+        raise CorruptModelError(f"weight section holds {len(body)} bytes for {n_triples} triples")
 
-    (weights_len,) = reader.unpack("<I")
-    weights_reader = _Reader(reader.take(weights_len), 0)
-    (n_triples,) = weights_reader.unpack("<Q")
     weights: dict[int, list[float]] = {}
-    for _ in range(n_triples):
-        fid, c, w = weights_reader.unpack("<IId")
+    for fid, c, w in _TRIPLE.iter_unpack(body):
         if fid >= FEATURE_SPACE or c >= N_LABELS:
             raise CorruptModelError(f"weight triple out of range: ({fid}, {c})")
         row = weights.get(fid)
         if row is None:
             row = weights[fid] = [0.0] * N_LABELS
         row[c] = w
-    if reader.offset != len(data):
-        raise CorruptModelError("trailing bytes after final section")
     return LinearModel(weights, seed=seed, epochs=epochs)
 
 

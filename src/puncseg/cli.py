@@ -11,10 +11,10 @@ atomically (write then rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 from . import metrics, segmenter, textprep
@@ -25,6 +25,7 @@ from .sepp import (
     PunctLabel,
     SeppDocument,
     LabeledToken,
+    atomic_write,
     label_from_char,
     parse_sepp_file,
     strip_labels,
@@ -53,6 +54,22 @@ _CONVERTERS = {
     "seed": int,
 }
 
+#: Bounded numeric flags and settings: the test each value must pass, and its rule.
+_RANGES = {
+    "window": (lambda v: v >= 1, "must be at least 1"),
+    "epochs": (lambda v: v >= 0, "must not be negative"),
+    "fraction": (lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1"),
+    "block_size": (lambda v: v >= 1, "must be at least 1"),
+    "permutations": (lambda v: v >= 1, "must be at least 1"),
+}
+
+
+def _check_ranges(values: dict, prefix: str = "--") -> None:
+    for key, (ok, rule) in _RANGES.items():
+        value = values.get(key)
+        if value is not None and not ok(value):
+            raise ConfigError(f"{prefix}{key.replace('_', '-')} {value}: {rule}")
+
 
 def load_config_file(path) -> dict:
     values: dict = {}
@@ -71,6 +88,7 @@ def load_config_file(path) -> dict:
                 values[key] = _CONVERTERS[key](raw.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
+    _check_ranges(values, f"{path}: ")
     return values
 
 
@@ -116,15 +134,16 @@ def segmenter_config(settings: dict) -> segmenter.SegmenterConfig:
 
 
 def make_classifier(spec: str | None):
+    """A context manager for the classifier ``spec`` names; it closes an external child."""
     if not spec:
         raise ConfigError("no classifier given; use --classifier or a config file")
     kind, sep, arg = spec.partition(":")
     if not sep or not arg:
         raise ConfigError(f"classifier spec {spec!r} is not kind:argument")
     if kind == "builtin":
-        return load_model(arg)
+        return contextlib.nullcontext(load_model(arg))
     if kind == "replay":
-        return ReplayClassifier.from_document(parse_sepp_file(arg))
+        return contextlib.nullcontext(ReplayClassifier.from_document(parse_sepp_file(arg)))
     if kind == "external":
         return ExternalClassifier(ExternalAdapterConfig(arg))
     raise ConfigError(f"unknown classifier kind {kind!r}")
@@ -135,19 +154,6 @@ def _require_files(*paths) -> None:
     for path in paths:
         if path and not os.path.isfile(path):
             raise FileNotFoundError(f"input file not found: {path}")
-
-
-def atomic_write(path, text: str) -> None:
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _emit(text: str, out_path) -> None:
@@ -227,10 +233,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     _require_files(args.input)
     settings = resolve_settings(args)
-    classifier = make_classifier(settings["classifier"])
-    doc = parse_sepp_file(args.input)
-    words = doc.words()
-    labels = segmenter.classify_chunked(classifier, words, settings["window"])
+    with make_classifier(settings["classifier"]) as classifier:
+        words = parse_sepp_file(args.input).words()
+        labels = segmenter.classify_chunked(classifier, words, settings["window"])
     pred = _predictions_document(words, labels, set(), source_id=str(args.input))
     _emit(write_sepp(pred), args.out)
     return 0
@@ -240,9 +245,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
     _require_files(args.input)
     settings = resolve_settings(args)
     cfg = segmenter_config(settings)
-    classifier = make_classifier(settings["classifier"])
-    words = Path(args.input).read_text(encoding="utf-8").split()
-    result = segmenter.segment(words, classifier, cfg)
+    with make_classifier(settings["classifier"]) as classifier:
+        words = Path(args.input).read_text(encoding="utf-8").split()
+        result = segmenter.segment(words, classifier, cfg)
     _emit(result.to_text(), args.out)
     if args.emit_sepp:
         pred = _predictions_document(
@@ -299,12 +304,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     cfg = segmenter_config(settings)
     thetas = _parse_theta_list(args.thetas)
-    classifier = make_classifier(settings["classifier"])
-
-    gold = parse_sepp_file(args.gold)
-    words = strip_labels(gold)
-    gold_bounds = metrics.boundaries_from_document(gold, cfg.segmenters)
-    votes = segmenter.accumulate_votes(words, classifier, cfg)
+    with make_classifier(settings["classifier"]) as classifier:
+        gold = parse_sepp_file(args.gold)
+        words = strip_labels(gold)
+        gold_bounds = metrics.boundaries_from_document(gold, cfg.segmenters)
+        votes = segmenter.accumulate_votes(words, classifier, cfg)
 
     lines = ["theta\tprecision\trecall\tf1"]
     for theta in thetas:
@@ -319,14 +323,14 @@ def _condition_scores(
     blocks: list[SeppDocument], settings: dict
 ) -> list[float]:
     cfg = segmenter_config(settings)
-    classifier = make_classifier(settings["classifier"])
     scores = []
-    for block in blocks:
-        words = strip_labels(block)
-        gold_bounds = metrics.boundaries_from_document(block, cfg.segmenters)
-        votes = segmenter.accumulate_votes(words, classifier, cfg)
-        _, bounds = segmenter.decide(votes, cfg)
-        scores.append(metrics.boundary_score(gold_bounds, bounds).f1)
+    with make_classifier(settings["classifier"]) as classifier:
+        for block in blocks:
+            words = strip_labels(block)
+            gold_bounds = metrics.boundaries_from_document(block, cfg.segmenters)
+            votes = segmenter.accumulate_votes(words, classifier, cfg)
+            _, bounds = segmenter.decide(votes, cfg)
+            scores.append(metrics.boundary_score(gold_bounds, bounds).f1)
     return scores
 
 
@@ -459,6 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_ranges(vars(args))
         return args.func(args)
     except ToolkitError as exc:
         print(f"error: [{exc.code}] {exc}", file=sys.stderr)

@@ -114,15 +114,11 @@ def report(cm: ConfusionMatrix) -> EvalReport:
         per_class[label] = ClassMetrics(precision, recall, f1_score(precision, recall), gold_n)
 
     diag = cm.diagonal()
-    micro_fp = total - diag
-    micro_fn = total - diag
-    micro_f1 = 2 * diag / (2 * diag + micro_fp + micro_fn)
-
     metrics = list(per_class.values())
     return EvalReport(
         per_class=per_class,
         accuracy=diag / total,
-        micro_f1=micro_f1,
+        micro_f1=diag / total,
         macro_precision=sum(m.precision for m in metrics) / _N,
         macro_recall=sum(m.recall for m in metrics) / _N,
         macro_f1=sum(m.f1 for m in metrics) / _N,
@@ -241,6 +237,8 @@ def paired_significance(
     count / 2**n; otherwise it samples with the seeded RNG and returns
     (1 + count) / (1 + permutations).
     """
+    if permutations is not None and permutations < 1:
+        raise OutOfRangeError(f"permutations must be at least 1, got {permutations}")
     if len(scores_a) != len(scores_b):
         raise LengthMismatchError(
             f"score lists differ in length: {len(scores_a)} vs {len(scores_b)}"

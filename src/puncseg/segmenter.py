@@ -64,33 +64,32 @@ def windows(stream: Sequence[str], cfg: SegmenterConfig) -> list[Window]:
 
 @dataclass
 class VoteTable:
-    """Per word: label vote counts over covering windows, plus coverage."""
+    """Per word: label vote counts over covering windows."""
 
     counts: list[list[int]]  # one row of N_LABELS ints per word, label axis in tie order
-    coverage: list[int]
 
     @classmethod
     def zeros(cls, n_words: int) -> "VoteTable":
-        return cls([[0] * N_LABELS for _ in range(n_words)], [0] * n_words)
+        return cls([[0] * N_LABELS for _ in range(n_words)])
+
+    @property
+    def coverage(self) -> list[int]:
+        """Windows covering each word: the row sums of ``counts``."""
+        return [sum(row) for row in self.counts]
 
     def __len__(self) -> int:
-        return len(self.coverage)
+        return len(self.counts)
 
     def add_window(self, start: int, labels: Sequence[PunctLabel]) -> None:
         """Count one vote per label, the first for word ``start``."""
         counts = self.counts
-        coverage = self.coverage
         for i, label in enumerate(labels, start):
             counts[i][LABEL_INDEX[label]] += 1
-            coverage[i] += 1
 
     def merge(self, other: "VoteTable") -> "VoteTable":
         """Associative addition, so per-window partial tables can be folded in any order."""
-        counts = [
-            [a + b for a, b in zip(mine, theirs)]
-            for mine, theirs in zip(self.counts, other.counts)
-        ]
-        return VoteTable(counts, [a + b for a, b in zip(self.coverage, other.coverage)])
+        pairs = zip(self.counts, other.counts)
+        return VoteTable([[a + b for a, b in zip(mine, theirs)] for mine, theirs in pairs])
 
 
 def classify_chunked(
@@ -152,14 +151,11 @@ def decide(
     theta = cfg.theta
     labels: list[PunctLabel] = []
     boundaries: set[int] = set()
-    counts = votes.counts
-    coverage = votes.coverage
-    for i in range(len(votes)):
-        cov = coverage[i]
+    for i, row in enumerate(votes.counts):
+        cov = sum(row)
         if cov == 0:
             labels.append(PunctLabel.NONE)
             continue
-        row = counts[i]
         if pooled and sum(row[c] / cov for c in seg_idx) > theta:
             best = seg_idx[0]
             for c in seg_idx[1:]:

@@ -10,8 +10,11 @@ tolerates CRLF and a leading BOM.  Blank lines are skipped on input.
 from __future__ import annotations
 
 import enum
+import os
+import secrets
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import SeppConsistencyWarning, SeppParseError
@@ -196,8 +199,23 @@ def write_sepp(doc: SeppDocument) -> str:
 
 
 def write_sepp_file(doc: SeppDocument, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(write_sepp(doc))
+    atomic_write(path, write_sepp(doc))
+
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) to a new file beside ``path``, then rename it over ``path``.
+
+    A failure leaves any previous file as it was; unlike ``mkstemp``,
+    ``open`` gives the file the permissions any other output gets.
+    """
+    tmp = Path(path).parent / f".tmp-{secrets.token_hex(8)}"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def strip_labels(doc: SeppDocument) -> list[str]:

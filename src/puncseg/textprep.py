@@ -13,8 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import EmptyCorpusError, EmptySentenceWarning, TooFewUnitsError
-from .sepp import LabeledToken, PunctLabel, SeppDocument
+from .errors import CorruptModelError, EmptyCorpusError, EmptySentenceWarning, TooFewUnitsError
+from .sepp import LabeledToken, PunctLabel, SeppDocument, atomic_write
 
 #: Characters split off as standalone tokens.
 DETACH_CHARS = frozenset(".,?!:;()\"'/-")
@@ -118,21 +118,27 @@ class TruecaseModel:
 
     def save(self, path) -> None:
         """Persist as TSV ``<key>\\t<form>\\t<count>``, sorted by key."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for key in sorted(self.counts):
-                form = self.best_form(key)
-                fh.write(f"{key}\t{form}\t{self.counts[key][form]}\n")
+        lines = []
+        for key in sorted(self.counts):
+            form = self.best_form(key)
+            lines.append(f"{key}\t{form}\t{self.counts[key][form]}\n")
+        atomic_write(path, "".join(lines))
 
     @classmethod
     def load(cls, path) -> "TruecaseModel":
         model = cls()
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\r\n")
                 if not line:
                     continue
-                key, form, count = line.split("\t")
-                model.counts.setdefault(key, {})[form] = int(count)
+                try:
+                    key, form, count = line.split("\t")
+                    model.counts.setdefault(key, {})[form] = int(count)
+                except ValueError:
+                    raise CorruptModelError(
+                        f"{path}:{line_no}: expected '<key>\\t<form>\\t<count>'"
+                    ) from None
         return model
 
 

@@ -1,9 +1,13 @@
+import hashlib
 import random
+import struct
 
 import pytest
 
 from corpora import template_corpus
 from puncseg.classifier import (
+    FEATURE_SPACE,
+    N_LABELS,
     LinearModel,
     ReplayClassifier,
     load_model,
@@ -188,6 +192,92 @@ def test_load_rejects_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"junk")
     with pytest.raises(CorruptModelError):
         load_model(path)
+
+
+def test_model_file_bytes_match_golden_digest(tmp_path):
+    # pinned files of format version 1: a writer that changes them breaks saved models
+    hand_built = LinearModel(
+        {
+            0: [0.0, 1.5, 0.0, 0.0, 0.0, -2.25],
+            7: [0.125, 0.0, 0.0, 0.0, 0.0, 0.0],
+            FEATURE_SPACE - 1: [0.0, 0.0, -1e-300, 3.0, 0.0, 0.0],
+        },
+        seed=-5,
+        epochs=3,
+    )
+    trained = train_reference([_abc_corpus(5)], epochs=1, seed=0)
+    for model, digest in [
+        (hand_built, "aa82ec5f72b509a442c01f73058629f88bbdde2decb02d2d68fd2d0023de8b6b"),
+        (trained, "39f1f0796cb522f5c0309a4ea9aeda8883bdf292f3fd5bce1cdfc1cfc07efd12"),
+    ]:
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _split_model_file(data):
+    """The 8-byte header and the payloads of the length-prefixed sections."""
+    sections, pos = [], 8
+    while pos < len(data):
+        (size,) = struct.unpack_from("<I", data, pos)
+        sections.append(data[pos + 4 : pos + 4 + size])
+        pos += 4 + size
+    return data[:8], sections
+
+
+def _join_model_file(header, sections):
+    return header + b"".join(struct.pack("<I", len(s)) + s for s in sections)
+
+
+@pytest.fixture
+def small_model_file(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(train_reference([_abc_corpus(5)], epochs=1, seed=0), path)
+    return path
+
+
+def test_every_truncation_and_byte_flip_loads_or_raises_a_coded_error(small_model_file):
+    data = small_model_file.read_bytes()
+    assert 700 < len(data) < 1000
+    variants = [data[:cut] for cut in range(len(data))]
+    for i, b in enumerate(data):
+        for new in {0x00, 0xFF, b ^ 1} - {b}:
+            variants.append(data[:i] + bytes([new]) + data[i + 1 :])
+    path = small_model_file.with_name("variant.bin")
+    for variant in variants:
+        path.write_bytes(variant)
+        try:
+            load_model(path)
+        except (BadMagicError, VersionMismatchError, CorruptModelError):
+            pass
+
+
+@pytest.mark.parametrize("section", [0, 1, 2], ids=["meta", "labels", "weights"])
+def test_load_rejects_junk_inside_a_section(small_model_file, section):
+    header, sections = _split_model_file(small_model_file.read_bytes())
+    sections[section] += b"junk"
+    small_model_file.write_bytes(_join_model_file(header, sections))
+    with pytest.raises(CorruptModelError):
+        load_model(small_model_file)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_load_rejects_a_triple_count_that_disagrees_with_the_header(small_model_file, delta):
+    header, sections = _split_model_file(small_model_file.read_bytes())
+    (count,) = struct.unpack_from("<Q", sections[2])
+    sections[2] = struct.pack("<Q", count + delta) + sections[2][8:]
+    small_model_file.write_bytes(_join_model_file(header, sections))
+    with pytest.raises(CorruptModelError):
+        load_model(small_model_file)
+
+
+@pytest.mark.parametrize("triple", [(FEATURE_SPACE, 0), (0, N_LABELS)])
+def test_load_rejects_an_out_of_range_triple(small_model_file, triple):
+    header, sections = _split_model_file(small_model_file.read_bytes())
+    sections[2] = sections[2][:8] + struct.pack("<IId", *triple, 1.0) + sections[2][24:]
+    small_model_file.write_bytes(_join_model_file(header, sections))
+    with pytest.raises(CorruptModelError, match="out of range"):
+        load_model(small_model_file)
 
 
 def test_replay_classifier_returns_recorded_labels():

@@ -526,3 +526,146 @@ def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
     assert code == 0
     assert out.exists()
     assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["split", "{gold}", "--train-out", "{tmp}/a", "--test-out", "{tmp}/b",
+          "--fraction", "1.5"], "--fraction 1.5"),
+        (["train", "{gold}", "--out", "{tmp}/m.bin", "--window", "0"], "--window 0"),
+        (["train", "{gold}", "--out", "{tmp}/m.bin", "--epochs", "-1"], "--epochs -1"),
+        (["classify", "{gold}", "--classifier", "replay:{gold}", "--window", "0"], "--window 0"),
+        (["significance", "{gold}", "--config-a", "{cfg}", "--config-b", "{cfg}",
+          "--block-size", "0"], "--block-size 0"),
+        (["significance", "{gold}", "--config-a", "{cfg}", "--config-b", "{cfg}",
+          "--block-size", "2", "--permutations", "-1"], "--permutations -1"),
+        (["significance", "{gold}", "--config-a", "{cfg}", "--config-b", "{cfg}",
+          "--block-size", "2", "--permutations", "-2"], "--permutations -2"),
+        (["classify", "{gold}", "--config", "{bad_cfg}"], "window 0"),
+        (["prepare", "{raw}", "--out", "{tmp}/out.tsv", "--truecase-model", "{truecase}"],
+         "truecase.tsv:2"),
+    ],
+    ids=[
+        "split-fraction", "train-window", "train-epochs", "classify-window", "block-size",
+        "permutations-minus-1", "permutations-minus-2", "config-window", "truecase-line",
+    ],
+)
+def test_out_of_range_arguments_are_coded_errors(tmp_path, capsys, argv, named):
+    gold, _ = _toy_significance_corpus(tmp_path)
+    cfg = tmp_path / "cond.cfg"
+    cfg.write_text(f"classifier = replay:{gold}\nsegmenters = .\n", encoding="utf-8")
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(f"classifier = replay:{gold}\nwindow = 0\n", encoding="utf-8")
+    raw = tmp_path / "raw.txt"
+    raw.write_text("de man liep.\n", encoding="utf-8")
+    truecase = tmp_path / "truecase.tsv"
+    truecase.write_text("de\tde\t3\nman zonder tabs\n", encoding="utf-8")
+    paths = {"tmp": tmp_path, "gold": gold, "cfg": cfg, "bad_cfg": bad_cfg, "raw": raw,
+             "truecase": truecase}
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert err.startswith("error: [")
+    assert named in err
+    assert "p_value" not in out
+
+
+@pytest.mark.parametrize("writer", ["train", "truecase"])
+def test_a_failed_model_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch, writer):
+    import builtins
+    import stat
+
+    from puncseg import sepp, textprep
+
+    class HalfWrite:
+        """A file whose write stores half of the data, then fails."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, data):
+            self._fh.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return HalfWrite(fh) if "w" in mode or "x" in mode else fh
+
+    corpus = tmp_path / "corpus.tsv"
+    write_sepp_file(template_corpus(30, seed=1), corpus)
+    target = tmp_path / "model"
+
+    def write(n):
+        """Write a target that depends on ``n``; return the exit code."""
+        if writer == "train":
+            return run(capsys, "train", str(corpus), "--out", str(target), "--epochs", str(n))[0]
+        try:
+            textprep.train_truecaser([["De", "man"]] + [["de", "Man"]] * n).save(target)
+        except OSError:
+            return 1
+        return 0
+
+    assert write(1) == 0
+    previous = target.read_bytes()
+    plain = tmp_path / "plain"
+    plain.write_bytes(b"")
+    assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+
+    monkeypatch.setattr(sepp, "open", failing_open, raising=False)
+    assert write(3) == 1
+    assert target.read_bytes() == previous
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+
+
+def test_cli_closes_every_external_classifier_it_builds(
+    tmp_path, capsys, monkeypatch, period_at_request_end
+):
+    from puncseg.external import ExternalClassifier
+
+    built, closed = [], set()
+    real_init, real_close = ExternalClassifier.__init__, ExternalClassifier.close
+
+    def init(self, config):
+        built.append(self)
+        real_init(self, config)
+
+    def close(self):
+        closed.add(id(self))
+        real_close(self)
+
+    monkeypatch.setattr(ExternalClassifier, "__init__", init)
+    monkeypatch.setattr(ExternalClassifier, "close", close)
+    monkeypatch.setattr(ExternalClassifier, "__del__", lambda self: None)
+
+    gold, _ = _toy_significance_corpus(tmp_path)
+    stream = tmp_path / "stream.txt"
+    stream.write_text(" ".join(gold.read_text(encoding="utf-8").split()[::3]), encoding="utf-8")
+    cfg = tmp_path / "ext.cfg"
+    cfg.write_text(f"classifier = {period_at_request_end}\nsegmenters = .\n", encoding="utf-8")
+    bad = tmp_path / "bad.tsv"
+    write_sepp_file(document_for(["hier", "twee woorden"], {1: P}), bad)
+    invocations = [
+        (["classify", str(gold), "--classifier", period_at_request_end], 0),
+        (["segment", str(stream), "--classifier", period_at_request_end], 0),
+        (["sweep", str(gold), "--thetas", "0.1", "--classifier", period_at_request_end], 0),
+        (["significance", str(gold), "--config-a", str(cfg), "--config-b", str(cfg),
+          "--block-size", "2"], 0),
+        # the child answers the first one-word request before the second fails
+        (["classify", str(bad), "--classifier", period_at_request_end, "--window", "1"], 1),
+    ]
+    try:
+        for argv, want in invocations:
+            before = len(built)
+            assert run(capsys, *argv)[0] == want, argv
+            new = built[before:]
+            assert len(new) == (2 if argv[0] == "significance" else 1), argv
+            assert all(id(clf) in closed and clf._proc is None for clf in new), argv
+    finally:
+        for clf in built:
+            real_close(clf)

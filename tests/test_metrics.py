@@ -405,6 +405,13 @@ def test_paired_length_mismatch_and_too_short():
         paired_significance([0.1], [0.2])
 
 
+@pytest.mark.parametrize("permutations", [0, -1, -2])
+def test_paired_rejects_fewer_than_one_permutation(permutations):
+    # 2**2 <= permutations never holds, so these would reach the sampling branch
+    with pytest.raises(OutOfRangeError):
+        paired_significance([0.1, 0.5], [0.2, 0.3], permutations=permutations)
+
+
 def test_format_report_shape():
     cm = confusion([N, P, C], [N, P, P])
     text = format_report(report(cm))

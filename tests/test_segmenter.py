@@ -164,7 +164,9 @@ def _table(rows, coverage):
     for i, row in rows.items():
         for label_idx, count in row.items():
             counts[i][label_idx] = count
-    return VoteTable(counts, list(coverage))
+    votes = VoteTable(counts)
+    assert votes.coverage == list(coverage)
+    return votes
 
 
 def test_decide_accepts_above_threshold():
@@ -213,8 +215,7 @@ def test_decide_pooled_failing_pool_still_decides_other_labels():
 
 
 def test_decide_uncovered_word_stays_none():
-    votes = _table({}, [0, 1])
-    votes.counts[1][1] = 1
+    votes = _table({1: {1: 1}}, [0, 1])
     labels, bounds = decide(votes, SegmenterConfig(theta=0.5))
     assert labels == [N, P]
     assert bounds == {1}
