@@ -21,6 +21,7 @@ from .errors import (
     CorruptModelError,
     EmptyTrainingSetError,
     EmptyWindowError,
+    OutOfRangeError,
     VersionMismatchError,
 )
 from .sepp import PunctLabel, SeppDocument, atomic_write
@@ -179,8 +180,14 @@ def train_reference(
     the seeded RNG, and the returned weights are the running average over
     every training step.  Updates fire whenever the gold label fails to
     strictly outscore every other label (the zero-margin variant), which
-    keeps the averaged weights from drifting on ties.
+    keeps the averaged weights from drifting on ties.  The model file
+    stores ``seed`` as int64 and ``epochs`` as uint32, so values outside
+    those ranges raise ``OutOfRangeError`` before any work.
     """
+    if not -(2**63) <= seed < 2**63:
+        raise OutOfRangeError(f"seed {seed} does not fit a signed 64-bit integer")
+    if not 0 <= epochs < 2**32:
+        raise OutOfRangeError(f"epochs {epochs} must lie in [0, 2**32 - 1]")
     examples = _pooled_examples(train, window_words)
     if not examples:
         raise EmptyTrainingSetError("no training tokens")

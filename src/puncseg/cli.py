@@ -15,7 +15,6 @@ import contextlib
 import dataclasses
 import os
 import sys
-from pathlib import Path
 
 from . import metrics, segmenter, textprep
 from .classifier import ReplayClassifier, load_model, save_model, train_reference
@@ -28,6 +27,7 @@ from .sepp import (
     atomic_write,
     label_from_char,
     parse_sepp_file,
+    read_lines,
     strip_labels,
     write_sepp,
 )
@@ -73,21 +73,20 @@ def _check_ranges(values: dict, prefix: str = "--") -> None:
 
 def load_config_file(path) -> dict:
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, eq, raw = stripped.partition("=")
-            if not eq:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _CONVERTERS[key](raw.strip())
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
+    for line_no, line in enumerate(read_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, eq, raw = stripped.partition("=")
+        if not eq:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        try:
+            values[key] = _CONVERTERS[key](raw.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
     _check_ranges(values, f"{path}: ")
     return values
 
@@ -184,8 +183,7 @@ def _predictions_document(
 
 def cmd_prepare(args: argparse.Namespace) -> int:
     _require_files(args.input)
-    with open(args.input, encoding="utf-8") as fh:
-        lines = list(textprep.clean_lines(fh))
+    lines = list(textprep.clean_lines(read_lines(args.input)))
     if not lines:
         raise TooFewUnitsError("input corpus has no usable lines")
     sentences = [textprep.tokenize(line) for line in lines]
@@ -246,7 +244,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     cfg = segmenter_config(settings)
     with make_classifier(settings["classifier"]) as classifier:
-        words = Path(args.input).read_text(encoding="utf-8").split()
+        words = [word for line in read_lines(args.input) for word in line.split()]
         result = segmenter.segment(words, classifier, cfg)
     _emit(result.to_text(), args.out)
     if args.emit_sepp:
@@ -294,9 +292,13 @@ def _parse_theta_list(raw: str) -> list[float]:
     if not values:
         raise ConfigError("theta list is empty")
     try:
-        return [float(v) for v in values]
+        thetas = [float(v) for v in values]
     except ValueError as exc:
         raise ConfigError(f"bad theta value: {exc}") from None
+    for theta in thetas:
+        if not 0.0 <= theta <= 1.0:  # NaN fails too
+            raise ConfigError(f"--thetas {theta:g}: must lie in [0, 1]")
+    return thetas
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -310,12 +312,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gold_bounds = metrics.boundaries_from_document(gold, cfg.segmenters)
         votes = segmenter.accumulate_votes(words, classifier, cfg)
 
-    lines = ["theta\tprecision\trecall\tf1"]
+    rows = [("theta", "precision", "recall", "f1")]
     for theta in thetas:
         _, bounds = segmenter.decide(votes, dataclasses.replace(cfg, theta=theta))
         score = metrics.boundary_score(gold_bounds, bounds, stream_length=len(words))
-        lines.append(f"{theta:g}\t{score.precision:.6f}\t{score.recall:.6f}\t{score.f1:.6f}")
-    _emit("\n".join(lines) + "\n", args.out)
+        rows.append((f"{theta:g}", score.precision, score.recall, score.f1))
+    _emit(metrics.tsv(rows), args.out)
     return 0
 
 
@@ -350,15 +352,12 @@ def cmd_significance(args: argparse.Namespace) -> int:
     rows = [("A", metrics.summarize(scores_a)), ("B", metrics.summarize(scores_b))]
     _emit(metrics.summaries_tsv(rows), args.out)
     if args.scores_out:
-        lines = ["block\tf1_a\tf1_b"]
-        lines.extend(
-            f"{k}\t{a:.6f}\t{b:.6f}" for k, (a, b) in enumerate(zip(scores_a, scores_b))
-        )
-        atomic_write(args.scores_out, "\n".join(lines) + "\n")
+        table = [("block", "f1_a", "f1_b"), *zip(range(len(scores_a)), scores_a, scores_b)]
+        atomic_write(args.scores_out, metrics.tsv(table))
     p = metrics.paired_significance(
         scores_a, scores_b, permutations=args.permutations, seed=args.seed or 0
     )
-    sys.stdout.write(f"p_value\t{p:.6g}\n")
+    sys.stdout.write(metrics.tsv([("p_value", f"{p:.6g}")]))
     return 0
 
 

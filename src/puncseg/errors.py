@@ -117,6 +117,12 @@ class ConfigError(ToolkitError):
     code = "CONFIG"
 
 
+class EncodingError(ToolkitError):
+    """An input file holds bytes that are not UTF-8."""
+
+    code = "NOT_UTF8"
+
+
 class SeppConsistencyWarning(UserWarning):
     """Column 2 disagrees with the punctuation label on a parsed line."""
 

@@ -39,6 +39,8 @@ class ExternalAdapterConfig:
             raise ValueError("timeout must be positive")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be non-negative")
+        if self.max_window_words is not None and self.max_window_words < 1:
+            raise ValueError("max_window_words must be at least 1")
 
 
 def _pump(stdout: IO[str], lines: "queue.Queue[str | None]") -> None:

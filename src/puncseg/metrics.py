@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -216,11 +216,11 @@ def summarize(scores: Sequence[float], *, sample_stddev: bool = False) -> Distri
         stddev = statistics.pstdev(scores)
     return DistributionSummary(
         n=n,
-        median=statistics.median(ordered),
+        median=float(statistics.median(ordered)),
         average=statistics.fmean(scores),
         stddev=stddev,
-        ci_low=ordered[lo_rank - 1],
-        ci_high=ordered[hi_rank - 1],
+        ci_low=float(ordered[lo_rank - 1]),
+        ci_high=float(ordered[hi_rank - 1]),
     )
 
 
@@ -286,42 +286,34 @@ def format_report(rep: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def tsv(rows: Iterable[Iterable]) -> str:
+    """Tab-separated LF-terminated lines; floats print as ``:.6f``, anything else by ``str``."""
+    return "".join(
+        "\t".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in rows
+    )
+
+
 def report_tsv(rep: EvalReport) -> str:
-    lines = ["class\tprecision\trecall\tf1\tsupport"]
-    for label, m in rep.per_class.items():
-        lines.append(f"{label.char}\t{m.precision:.6f}\t{m.recall:.6f}\t{m.f1:.6f}\t{m.support}")
-    lines.append(f"accuracy\t\t\t{rep.accuracy:.6f}\t{rep.total}")
-    lines.append(
-        f"macro avg\t{rep.macro_precision:.6f}\t{rep.macro_recall:.6f}\t{rep.macro_f1:.6f}\t{rep.total}"
-    )
-    lines.append(
-        f"weighted avg\t{rep.weighted_precision:.6f}\t{rep.weighted_recall:.6f}"
-        f"\t{rep.weighted_f1:.6f}\t{rep.total}"
-    )
-    return "\n".join(lines) + "\n"
+    rows: list[tuple] = [("class", "precision", "recall", "f1", "support")]
+    rows += [(label.char, *astuple(m)) for label, m in rep.per_class.items()]
+    rows += [
+        ("accuracy", "", "", rep.accuracy, rep.total),
+        ("macro avg", rep.macro_precision, rep.macro_recall, rep.macro_f1, rep.total),
+        ("weighted avg", rep.weighted_precision, rep.weighted_recall, rep.weighted_f1, rep.total),
+    ]
+    return tsv(rows)
 
 
 def confusion_tsv(cm: ConfusionMatrix) -> str:
-    header = "\t" + "\t".join(label.char for label in REPORT_ORDER)
-    lines = [header]
-    for idx, label in enumerate(REPORT_ORDER):
-        lines.append(label.char + "\t" + "\t".join(str(v) for v in cm.counts[idx]))
-    return "\n".join(lines) + "\n"
+    chars = [label.char for label in REPORT_ORDER]
+    return tsv([("", *chars)] + [(ch, *row) for ch, row in zip(chars, cm.counts)])
 
 
 def boundary_tsv(score: BoundaryScore) -> str:
-    return (
-        "tp\tfp\tfn\tprecision\trecall\tf1\n"
-        f"{score.tp}\t{score.fp}\t{score.fn}"
-        f"\t{score.precision:.6f}\t{score.recall:.6f}\t{score.f1:.6f}\n"
-    )
+    return tsv([[f.name for f in fields(score)], astuple(score)])
 
 
 def summaries_tsv(rows: Iterable[tuple[str, DistributionSummary]]) -> str:
-    lines = ["condition\tn\tmedian\taverage\tstddev\tci_lo\tci_hi"]
-    for condition, s in rows:
-        lines.append(
-            f"{condition}\t{s.n}\t{s.median:.6f}\t{s.average:.6f}"
-            f"\t{s.stddev:.6f}\t{s.ci_low:.6f}\t{s.ci_high:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+    header = ("condition", "n", "median", "average", "stddev", "ci_lo", "ci_hi")
+    return tsv([header] + [(condition, *astuple(s)) for condition, s in rows])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import SeppConsistencyWarning, SeppParseError
+from .errors import EncodingError, SeppConsistencyWarning, SeppParseError
 
 
 class PunctLabel(enum.Enum):
@@ -105,14 +105,6 @@ class SeppDocument:
         return out
 
 
-def _iter_physical_lines(stream: str | Iterable[str]) -> Iterator[str]:
-    if isinstance(stream, str):
-        yield from stream.split("\n")
-    else:
-        for line in stream:
-            yield line.rstrip("\n")
-
-
 def parse_sepp(
     stream: str | Iterable[str],
     *,
@@ -121,18 +113,19 @@ def parse_sepp(
 ) -> SeppDocument:
     """Parse SEPP text into a document.
 
-    ``stream`` may be a string or an iterable of lines (e.g. an open text
-    file).  Line numbers in errors are 1-based and count blank lines too.
-    Rows whose flag column contradicts the label (a full stop without the
-    flag, or the flag without any mark) are accepted with a
-    ``SeppConsistencyWarning`` unless ``strict`` is set, because published
-    corpora contain such rows.
+    ``stream`` may be a string or an iterable of lines, with or without
+    line ends, such as :func:`read_lines` yields.  Line numbers in errors
+    are 1-based and count blank lines too.  Rows whose flag column
+    contradicts the label (a full stop without the flag, or the flag
+    without any mark) are accepted with a ``SeppConsistencyWarning``
+    unless ``strict`` is set, because published corpora contain such rows.
     """
     tokens: list[LabeledToken] = []
-    for line_no, raw in enumerate(_iter_physical_lines(stream), start=1):
-        if line_no == 1 and raw.startswith("﻿"):
-            raw = raw[1:]
-        line = raw.rstrip("\r")
+    lines = stream.split("\n") if isinstance(stream, str) else stream
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if line_no == 1:
+            line = line.removeprefix("\ufeff")
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -172,8 +165,7 @@ def parse_sepp(
 
 
 def parse_sepp_file(path, *, strict: bool = False) -> SeppDocument:
-    with open(path, encoding="utf-8") as fh:
-        return parse_sepp(fh, strict=strict, source_id=str(path))
+    return parse_sepp(read_lines(path), strict=strict, source_id=str(path))
 
 
 def _render_flag(token: LabeledToken) -> str:
@@ -216,6 +208,20 @@ def atomic_write(path, data: str | bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_lines(path) -> Iterator[str]:
+    """Yield the lines of the UTF-8 text file ``path`` one at a time, line ends included.
+
+    Line ends are universal newlines and one leading byte-order mark is
+    dropped; bytes that are not UTF-8 raise ``EncodingError``.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start : exc.end].hex(" ")
+        raise EncodingError(f"{path}: not UTF-8 text ({exc.reason}: {bad})") from None
 
 
 def strip_labels(doc: SeppDocument) -> list[str]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import CorruptModelError, EmptyCorpusError, EmptySentenceWarning, TooFewUnitsError
-from .sepp import LabeledToken, PunctLabel, SeppDocument, atomic_write
+from .sepp import LabeledToken, PunctLabel, SeppDocument, atomic_write, read_lines
 
 #: Characters split off as standalone tokens.
 DETACH_CHARS = frozenset(".,?!:;()\"'/-")
@@ -127,18 +127,17 @@ class TruecaseModel:
     @classmethod
     def load(cls, path) -> "TruecaseModel":
         model = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\r\n")
-                if not line:
-                    continue
-                try:
-                    key, form, count = line.split("\t")
-                    model.counts.setdefault(key, {})[form] = int(count)
-                except ValueError:
-                    raise CorruptModelError(
-                        f"{path}:{line_no}: expected '<key>\\t<form>\\t<count>'"
-                    ) from None
+        for line_no, line in enumerate(read_lines(path), start=1):
+            line = line.rstrip("\r\n")
+            if not line:
+                continue
+            try:
+                key, form, count = line.split("\t")
+                model.counts.setdefault(key, {})[form] = int(count)
+            except ValueError:
+                raise CorruptModelError(
+                    f"{path}:{line_no}: expected '<key>\\t<form>\\t<count>'"
+                ) from None
         return model
 
 

@@ -19,6 +19,7 @@ from puncseg.errors import (
     CorruptModelError,
     EmptyTrainingSetError,
     EmptyWindowError,
+    OutOfRangeError,
     VersionMismatchError,
 )
 from puncseg.sepp import LabeledToken, PunctLabel, SeppDocument
@@ -112,6 +113,23 @@ def test_empty_training_set_rejected():
         train_reference([], epochs=1, seed=0)
     with pytest.raises(EmptyTrainingSetError):
         train_reference([SeppDocument([])], epochs=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "seed, epochs", [(2**63, 1), (-(2**63) - 1, 1), (0, 2**32), (0, -1)],
+    ids=["seed-above", "seed-below", "epochs-above", "epochs-below"],
+)
+def test_seed_and_epochs_the_model_file_cannot_hold_rejected_before_training(seed, epochs):
+    # an empty training set would raise EmptyTrainingSetError once work began
+    with pytest.raises(OutOfRangeError):
+        train_reference([], epochs=epochs, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
+def test_extreme_seeds_round_trip_through_the_model_file(tmp_path, seed):
+    model = train_reference([_abc_corpus(5)], epochs=0, seed=seed)
+    save_model(model, tmp_path / "m.bin")
+    assert load_model(tmp_path / "m.bin").seed == seed
 
 
 def test_save_load_roundtrip_predictions(tmp_path):

@@ -545,10 +545,29 @@ def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
         (["classify", "{gold}", "--config", "{bad_cfg}"], "window 0"),
         (["prepare", "{raw}", "--out", "{tmp}/out.tsv", "--truecase-model", "{truecase}"],
          "truecase.tsv:2"),
+        # the classifier file is absent: building the classifier first would fail differently
+        (["sweep", "{gold}", "--thetas", "0.1,1.5", "--classifier", "replay:{tmp}/absent"],
+         "--thetas 1.5: must lie in [0, 1]"),
+        (["sweep", "{gold}", "--thetas", "nan", "--classifier", "replay:{tmp}/absent"],
+         "--thetas nan: must lie in [0, 1]"),
+        (["sweep", "{gold}", "--thetas", "-0.1 0.5", "--classifier", "replay:{tmp}/absent"],
+         "--thetas -0.1: must lie in [0, 1]"),
+        (["sweep", "{gold}", "--thetas", "inf", "--classifier", "replay:{tmp}/absent"],
+         "--thetas inf: must lie in [0, 1]"),
+        (["train", "{gold}", "--out", "{tmp}/m.bin", "--seed", "9223372036854775808"],
+         "seed 9223372036854775808"),
+        (["train", "{gold}", "--out", "{tmp}/m.bin", "--seed", "-9223372036854775809"],
+         "seed -9223372036854775809"),
+        (["train", "{gold}", "--out", "{tmp}/m.bin", "--epochs", "4294967296"],
+         "epochs 4294967296"),
+        (["train", "{gold}", "--out", "{tmp}/m.bin", "--config", "{seed_cfg}"],
+         "seed 9223372036854775808"),
     ],
     ids=[
         "split-fraction", "train-window", "train-epochs", "classify-window", "block-size",
         "permutations-minus-1", "permutations-minus-2", "config-window", "truecase-line",
+        "sweep-theta-above", "sweep-theta-nan", "sweep-theta-below", "sweep-theta-inf",
+        "train-seed-above", "train-seed-below", "train-epochs-above", "config-seed",
     ],
 )
 def test_out_of_range_arguments_are_coded_errors(tmp_path, capsys, argv, named):
@@ -561,13 +580,17 @@ def test_out_of_range_arguments_are_coded_errors(tmp_path, capsys, argv, named):
     raw.write_text("de man liep.\n", encoding="utf-8")
     truecase = tmp_path / "truecase.tsv"
     truecase.write_text("de\tde\t3\nman zonder tabs\n", encoding="utf-8")
+    seed_cfg = tmp_path / "seed.cfg"
+    seed_cfg.write_text("seed = 9223372036854775808\n", encoding="utf-8")
     paths = {"tmp": tmp_path, "gold": gold, "cfg": cfg, "bad_cfg": bad_cfg, "raw": raw,
-             "truecase": truecase}
+             "truecase": truecase, "seed_cfg": seed_cfg}
+    before = sorted(os.listdir(tmp_path))
     code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert code == 1
     assert err.startswith("error: [")
     assert named in err
     assert "p_value" not in out
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 @pytest.mark.parametrize("writer", ["train", "truecase"])
@@ -669,3 +692,181 @@ def test_cli_closes_every_external_classifier_it_builds(
     finally:
         for clf in built:
             real_close(clf)
+
+
+# Exact output text of the table-writing commands for fixed inputs.
+
+
+def test_sweep_golden_bytes(tmp_path, capsys, copernicus_files):
+    from sample_streams import COPERNICUS_GOLD
+
+    _, pred = copernicus_files
+    gold = tmp_path / "gold.tsv"
+    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD), gold)
+    code, out, _ = run(
+        capsys, "sweep", str(gold), "--thetas", "0, 1e-05 0.3333333,1",
+        "--classifier", f"replay:{pred}", "--window", "7", "--segmenters", ".?",
+    )
+    assert code == 0
+    assert out == (
+        "theta\tprecision\trecall\tf1\n"
+        "0\t1.000000\t0.545455\t0.705882\n"
+        "1e-05\t1.000000\t0.545455\t0.705882\n"
+        "0.333333\t1.000000\t0.545455\t0.705882\n"
+        "1\t0.000000\t0.000000\t0.000000\n"
+    )
+
+
+def test_significance_golden_bytes(tmp_path, capsys):
+    gold, pred_b = _toy_significance_corpus(tmp_path)
+    cfg_a = tmp_path / "a.cfg"
+    cfg_a.write_text(f"classifier = replay:{gold}\nsegmenters = .\n", encoding="utf-8")
+    cfg_b = tmp_path / "b.cfg"
+    cfg_b.write_text(f"classifier = replay:{pred_b}\nsegmenters = .\n", encoding="utf-8")
+    scores = tmp_path / "scores.tsv"
+    code, out, _ = run(
+        capsys, "significance", str(gold), "--config-a", str(cfg_a), "--config-b", str(cfg_b),
+        "--block-size", "2", "--permutations", "5", "--seed", "3", "--scores-out", str(scores),
+    )
+    assert code == 0
+    assert out == (
+        "condition\tn\tmedian\taverage\tstddev\tci_lo\tci_hi\n"
+        "A\t4\t1.000000\t1.000000\t0.000000\t1.000000\t1.000000\n"
+        "B\t4\t0.900000\t0.866667\t0.141421\t0.666667\t1.000000\n"
+        "p_value\t0.333333\n"
+    )
+    assert scores.read_bytes() == (
+        b"block\tf1_a\tf1_b\n"
+        b"0\t1.000000\t0.666667\n"
+        b"1\t1.000000\t1.000000\n"
+        b"2\t1.000000\t0.800000\n"
+        b"3\t1.000000\t1.000000\n"
+    )
+
+
+def test_eval_labels_out_prefix_golden_bytes(tmp_path, capsys):
+    from sample_streams import COPERNICUS_GOLD
+
+    gold = tmp_path / "gold.tsv"
+    pred = tmp_path / "pred.tsv"
+    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD), gold)
+    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_PRED), pred)
+    prefix = tmp_path / "eval"
+    code, out, _ = run(capsys, "eval-labels", str(gold), str(pred), "--out-prefix", str(prefix))
+    assert code == 0
+    assert out == ""
+    assert (tmp_path / "eval.report.txt").read_bytes() == (
+        b"       class  precision     recall   f1-score    support\n"
+        b"           0   0.950820   1.000000   0.974790         58\n"
+        b"           .   0.833333   0.555556   0.666667          9\n"
+        b"           ,   0.500000   0.750000   0.600000          4\n"
+        b"           ?   0.000000   0.000000   0.000000          2\n"
+        b"           -   0.000000   0.000000   0.000000          0\n"
+        b"           :   0.000000   0.000000   0.000000          0\n"
+        b"\n"
+        b"    accuracy                         0.904110         73\n"
+        b"   macro avg   0.380692   0.384259   0.373576         73\n"
+        b"weighted avg   0.885583   0.904110   0.889559         73\n"
+    )
+    assert (tmp_path / "eval.report.tsv").read_bytes() == (
+        b"class\tprecision\trecall\tf1\tsupport\n"
+        b"0\t0.950820\t1.000000\t0.974790\t58\n"
+        b".\t0.833333\t0.555556\t0.666667\t9\n"
+        b",\t0.500000\t0.750000\t0.600000\t4\n"
+        b"?\t0.000000\t0.000000\t0.000000\t2\n"
+        b"-\t0.000000\t0.000000\t0.000000\t0\n"
+        b":\t0.000000\t0.000000\t0.000000\t0\n"
+        b"accuracy\t\t\t0.904110\t73\n"
+        b"macro avg\t0.380692\t0.384259\t0.373576\t73\n"
+        b"weighted avg\t0.885583\t0.904110\t0.889559\t73\n"
+    )
+    assert (tmp_path / "eval.confusion.tsv").read_bytes() == (
+        b"\t0\t.\t,\t?\t-\t:\n"
+        b"0\t58\t0\t0\t0\t0\t0\n"
+        b".\t2\t5\t2\t0\t0\t0\n"
+        b",\t1\t0\t3\t0\t0\t0\n"
+        b"?\t0\t1\t1\t0\t0\t0\n"
+        b"-\t0\t0\t0\t0\t0\t0\n"
+        b":\t0\t0\t0\t0\t0\t0\n"
+    )
+
+
+def _reader_inputs(tmp_path):
+    """One valid file of every kind the CLI reads, keyed by template name."""
+    gold, _ = _toy_significance_corpus(tmp_path)
+    stream = tmp_path / "stream.txt"
+    stream.write_text(" ".join(COPERNICUS_WORDS[:20]) + "\n", encoding="utf-8")
+    pred = tmp_path / "pred.tsv"
+    write_sepp_file(document_for(COPERNICUS_WORDS[:20], COPERNICUS_PRED), pred)
+    cfg = tmp_path / "cond.cfg"
+    cfg.write_text(f"classifier = replay:{gold}\nsegmenters = .\n", encoding="utf-8")
+    raw = tmp_path / "raw.txt"
+    raw.write_text("De man liep.\nde man zag de man.\n", encoding="utf-8")
+    truecase = tmp_path / "truecase.tsv"
+    truecase.write_text("de\tDe\t3\nman\tman\t2\n", encoding="utf-8")
+    return {"tmp": tmp_path, "gold": gold, "stream": stream, "pred": pred, "cfg": cfg,
+            "raw": raw, "truecase": truecase}
+
+
+_NOT_UTF8_CASES = {
+    "segment-stream": (["segment", "{stream}", "--classifier", "replay:{pred}"], "stream"),
+    "segment-replay": (["segment", "{stream}", "--classifier", "replay:{pred}"], "pred"),
+    "classify": (["classify", "{gold}", "--classifier", "replay:{gold}"], "gold"),
+    "train": (["train", "{gold}", "--out", "{tmp}/m.bin"], "gold"),
+    "split": (["split", "{gold}", "--train-out", "{tmp}/a", "--test-out", "{tmp}/b"], "gold"),
+    "eval-labels": (["eval-labels", "{gold}", "{pred}"], "pred"),
+    "eval-boundaries": (["eval-boundaries", "{gold}", "{pred}"], "gold"),
+    "sweep": (["sweep", "{gold}", "--thetas", "0.5", "--classifier", "replay:{gold}"], "gold"),
+    "significance": (["significance", "{gold}", "--config-a", "{cfg}", "--config-b", "{cfg}",
+                      "--block-size", "2"], "gold"),
+    "prepare-corpus": (["prepare", "{raw}", "--out", "{tmp}/out.tsv"], "raw"),
+    "truecase-model": (["prepare", "{raw}", "--out", "{tmp}/out.tsv",
+                        "--truecase-model", "{truecase}"], "truecase"),
+    "config": (["segment", "{stream}", "--config", "{cfg}"], "cfg"),
+    "config-a": (["significance", "{gold}", "--config-a", "{cfg}", "--config-b", "{cfg}",
+                  "--block-size", "2"], "cfg"),
+}
+
+
+@pytest.mark.parametrize("argv, bad", _NOT_UTF8_CASES.values(), ids=_NOT_UTF8_CASES.keys())
+def test_input_that_is_not_utf8_is_a_coded_error_with_no_output(tmp_path, capsys, argv, bad):
+    paths = _reader_inputs(tmp_path)
+    target = paths[bad]
+    first, _, rest = target.read_bytes().partition(b"\n")
+    target.write_bytes(first + b"\n\xff" + rest)
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert err.startswith(f"error: [NOT_UTF8] {target}: ")
+    assert "Traceback" not in err
+    assert out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+_BOM_CASES = {
+    "segment-stream": (["segment", "{stream}", "--classifier", "replay:{pred}", "--out",
+                        "{tmp}/out.txt", "--emit-sepp", "{tmp}/out.tsv"], "stream"),
+    "prepare-corpus": (["prepare", "{raw}", "--out", "{tmp}/out.tsv"], "raw"),
+    "truecase-model": (["prepare", "{raw}", "--out", "{tmp}/out.tsv",
+                        "--truecase-model", "{truecase}"], "truecase"),
+    "config": (["eval-boundaries", "{gold}", "{gold}", "--config", "{cfg}", "--out",
+                "{tmp}/out.tsv"], "cfg"),
+    "sepp": (["eval-labels", "{gold}", "{gold}", "--out-prefix", "{tmp}/out"], "gold"),
+}
+
+
+@pytest.mark.parametrize("argv, bom", _BOM_CASES.values(), ids=_BOM_CASES.keys())
+def test_a_leading_byte_order_mark_changes_no_output(tmp_path, capsys, argv, bom):
+    def outputs(with_bom):
+        paths = _reader_inputs(tmp_path)
+        if with_bom:
+            paths[bom].write_bytes(b"\xef\xbb\xbf" + paths[bom].read_bytes())
+        code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+        assert code == 0, err
+        written = {name: (tmp_path / name).read_bytes()
+                   for name in sorted(os.listdir(tmp_path)) if name.startswith("out")}
+        return out, written
+
+    plain = outputs(False)
+    assert plain[0] or plain[1]
+    assert outputs(True) == plain

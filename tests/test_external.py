@@ -179,3 +179,11 @@ def test_config_validation():
         ExternalAdapterConfig("cmd", timeout=0)
     with pytest.raises(ValueError):
         ExternalAdapterConfig("cmd", max_restarts=-1)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_max_window_words_below_one_rejected(limit):
+    with pytest.raises(ValueError):
+        ExternalAdapterConfig("cmd", max_window_words=limit)
+    assert ExternalAdapterConfig("cmd", max_window_words=None).max_window_words is None
+    assert ExternalAdapterConfig("cmd", max_window_words=1).max_window_words == 1

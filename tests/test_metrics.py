@@ -15,6 +15,7 @@ from puncseg.metrics import (
     REPORT_INDEX,
     ConfusionMatrix,
     boundary_score,
+    boundary_tsv,
     boundaries_from_document,
     confusion,
     confusion_tsv,
@@ -445,3 +446,52 @@ def test_summaries_tsv_shape():
     assert lines[0] == "condition\tn\tmedian\taverage\tstddev\tci_lo\tci_hi"
     assert len(lines) == 3
     assert lines[1].startswith("A\t3\t")
+
+
+# Exact table text for fixed inputs: every TSV writer must keep these bytes.
+_GOLD_LABELS = [N, P, C, N, Q, P, N, C, PunctLabel.DASH, N]
+_PRED_LABELS = [N, P, N, C, P, P, N, C, N, N]
+
+
+def test_report_tsv_golden_bytes():
+    assert report_tsv(report(confusion(_GOLD_LABELS, _PRED_LABELS))) == (
+        "class\tprecision\trecall\tf1\tsupport\n"
+        "0\t0.600000\t0.750000\t0.666667\t4\n"
+        ".\t0.666667\t1.000000\t0.800000\t2\n"
+        ",\t0.500000\t0.500000\t0.500000\t2\n"
+        "?\t0.000000\t0.000000\t0.000000\t1\n"
+        "-\t0.000000\t0.000000\t0.000000\t1\n"
+        ":\t0.000000\t0.000000\t0.000000\t0\n"
+        "accuracy\t\t\t0.600000\t10\n"
+        "macro avg\t0.294444\t0.375000\t0.327778\t10\n"
+        "weighted avg\t0.473333\t0.600000\t0.526667\t10\n"
+    )
+
+
+def test_confusion_tsv_golden_bytes():
+    assert confusion_tsv(confusion(_GOLD_LABELS, _PRED_LABELS)) == (
+        "\t0\t.\t,\t?\t-\t:\n"
+        "0\t3\t0\t1\t0\t0\t0\n"
+        ".\t0\t2\t0\t0\t0\t0\n"
+        ",\t1\t0\t1\t0\t0\t0\n"
+        "?\t0\t1\t0\t0\t0\t0\n"
+        "-\t1\t0\t0\t0\t0\t0\n"
+        ":\t0\t0\t0\t0\t0\t0\n"
+    )
+
+
+def test_boundary_tsv_golden_bytes():
+    assert boundary_tsv(boundary_score({1, 4, 9}, {1, 3, 4, 7})) == (
+        "tp\tfp\tfn\tprecision\trecall\tf1\n"
+        "2\t2\t1\t0.500000\t0.666667\t0.571429\n"
+    )
+
+
+def test_summaries_tsv_golden_bytes():
+    # integer scores keep the fixed six-decimal columns
+    rows = [("A", summarize([0.5, 0.75, 1.0, 2 / 3])), ("B", summarize([3, 1, 2]))]
+    assert summaries_tsv(rows) == (
+        "condition\tn\tmedian\taverage\tstddev\tci_lo\tci_hi\n"
+        "A\t4\t0.708333\t0.729167\t0.180422\t0.500000\t1.000000\n"
+        "B\t3\t2.000000\t2.000000\t0.816497\t1.000000\t3.000000\n"
+    )

@@ -1,15 +1,19 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from puncseg.errors import SeppConsistencyWarning, SeppParseError
+import puncseg
+from puncseg.errors import EncodingError, SeppConsistencyWarning, SeppParseError
 from puncseg.sepp import (
     LabeledToken,
     PunctLabel,
     SeppDocument,
     parse_sepp,
+    read_lines,
     strip_labels,
     write_sepp,
 )
@@ -178,3 +182,50 @@ def test_sentences_split_after_eos_and_keep_tail():
     doc = parse_sepp("a\t0\t0\nb\t1\t.\nc\t0\t0\n")
     sents = doc.sentences()
     assert [[t.word for t in s] for s in sents] == [["a", "b"], ["c"]]
+
+
+def test_read_lines_drops_one_bom_and_reads_universal_newlines(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xef\xbb\xbfeen\r\ntwee\rdrie\n\xef\xbb\xbfvier")
+    assert list(read_lines(path)) == ["een\n", "twee\n", "drie\n", "\ufeffvier"]
+
+
+def test_read_lines_streams_up_to_the_first_bad_byte(tmp_path):
+    path = tmp_path / "in.tsv"
+    path.write_bytes(b"a\t0\t0\n" * 50000 + b"\xff\t1\t.\n")
+    lines = read_lines(path)
+    assert next(lines) == "a\t0\t0\n"  # the whole file is not decoded up front
+    with pytest.raises(EncodingError) as exc_info:
+        parse_sepp(lines)
+    assert exc_info.value.code == "NOT_UTF8"
+    assert str(exc_info.value) == f"{path}: not UTF-8 text (invalid start byte: ff)"
+
+
+def _text_file_reads(path: Path) -> list[str]:
+    """``function:line`` of each ``read_text`` call and each ``open`` without a binary mode."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            modes = [arg.value for arg in [*node.args, *(k.value for k in node.keywords)]
+                     if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+            binary = any(set(m) <= set("rwxab+") and "b" in m for m in modes)
+            if name == "read_text" or (name == "open" and not binary):
+                found.append(f"{scope}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_only_read_lines_reads_text_files():
+    package = Path(puncseg.__file__).parent
+    reads = {p.name: _text_file_reads(p) for p in sorted(package.glob("*.py"))}
+    reads = {name: found for name, found in reads.items() if found}
+    assert list(reads) == ["sepp.py"], reads
+    assert [site.split(":")[0] for site in reads["sepp.py"]] == ["read_lines"]
