@@ -2,7 +2,8 @@
 
 A classifier maps a window of words to one label per word, is
 deterministic, and may advertise ``max_window_words`` as the largest call
-it accepts (``None`` means unlimited).  This module ships a trainable
+it accepts (``None`` means unlimited) and ``context_words`` as the reach
+of its predictions (see :class:`Classifier`).  This module ships a trainable
 averaged-perceptron reference model, a replay classifier that serves
 pre-recorded labels, and binary model persistence.  The subprocess
 adapter for external models lives in :mod:`puncseg.external`.
@@ -44,7 +45,15 @@ _EOS = "</s>"
 
 
 class Classifier(Protocol):
-    """Contract every classifier implementation honors."""
+    """Contract every classifier implementation honors.
+
+    Optional capabilities are class attributes the segmenter probes with
+    ``getattr``.  ``context_words = k`` (a positive int) promises that the
+    label at offset ``j`` of a ``w``-word window depends only on
+    ``window[j-k : j+k+1]``, ``min(j, k)`` and ``min(w-1-j, k)``.  The
+    segmenter then classifies only the edges of most windows and shares
+    the labels of their interiors; a wrong declaration gives wrong votes.
+    """
 
     name: str
     max_window_words: int | None
@@ -117,11 +126,14 @@ class LinearModel:
     """Averaged linear per-token classifier over hashed features.
 
     Instances are immutable once built; a bounded context -> label cache
-    makes repeated sliding-window calls cheap.
+    makes repeated sliding-window calls cheap.  A label reads words
+    ``j-1 .. j+2``, the offset bucket capped at 4 and ``is_last``, so four
+    words of context on each side decide it.
     """
 
     name = "linear"
     max_window_words: int | None = None
+    context_words = 4
 
     def __init__(self, weights: dict[int, list[float]], seed: int = 0, epochs: int = 0):
         self.weights = weights

@@ -44,8 +44,10 @@ class ExternalAdapterConfig:
 
 
 def _pump(stdout: IO[str], lines: "queue.Queue[str | None]") -> None:
-    for line in stdout:
-        lines.put(line)
+    """Queue the child's lines, then None at EOF; the pipe is closed on the way out."""
+    with stdout:
+        for line in stdout:
+            lines.put(line)
     lines.put(None)
 
 
@@ -58,6 +60,7 @@ class ExternalClassifier:
         self.config = config
         self._proc: subprocess.Popen | None = None
         self._lines: "queue.Queue[str | None]" = queue.Queue()
+        self._pump_thread: threading.Thread | None = None
 
     @property
     def max_window_words(self) -> int | None:
@@ -73,17 +76,26 @@ class ExternalClassifier:
             encoding="utf-8",
             bufsize=1,
         )
-        thread = threading.Thread(target=_pump, args=(self._proc.stdout, self._lines), daemon=True)
-        thread.start()
+        self._pump_thread = threading.Thread(
+            target=_pump, args=(self._proc.stdout, self._lines), daemon=True
+        )
+        self._pump_thread.start()
 
     def _kill(self) -> None:
-        if self._proc is not None:
-            try:
-                self._proc.kill()
-                self._proc.wait(timeout=5)
-            except OSError:
-                pass
-            self._proc = None
+        """Stop the child, let the pump read its stdout to EOF, and close its stdin."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.kill()
+            proc.wait(timeout=5)
+        except OSError:
+            pass
+        self._pump_thread.join(timeout=5)
+        try:
+            proc.stdin.close()
+        except OSError:  # unsent request bytes meet a closed pipe
+            pass
 
     def close(self) -> None:
         self._kill()
@@ -108,7 +120,9 @@ class ExternalClassifier:
 
         restarts = 0
         while True:
-            if self._proc is None or self._proc.poll() is not None:
+            if self._proc is not None and self._proc.poll() is not None:
+                self._kill()
+            if self._proc is None:
                 self._spawn()
             try:
                 self._proc.stdin.write(request)

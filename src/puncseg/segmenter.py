@@ -5,6 +5,12 @@ classified, so each word collects one label vote per covering window (up
 to window_words of them at stride 1).  A non-NONE label is accepted at a
 word when its vote ratio strictly exceeds the threshold theta; accepted
 labels from the segmenting set cut the stream after their word.
+
+A classifier that declares ``context_words = k`` labels a word in a
+window's interior (``k`` or more words from either edge) the same way in
+every window, so only the ``k``-word edges of most windows are
+classified and the interior votes are counted in bulk.  The vote table
+is the same as when every window is classified in full.
 """
 
 from __future__ import annotations
@@ -124,12 +130,68 @@ def classify_chunked(
 def accumulate_votes(
     stream: Sequence[str], classifier: Classifier, cfg: SegmenterConfig
 ) -> VoteTable:
-    """Classify every window once and tally one vote per covered word."""
+    """Tally one vote per covered word for every window.
+
+    When the stream has more than one window and the classifier declares
+    ``context_words = k`` with ``2k < W`` and accepts whole windows, the
+    votes come from :func:`_shared_interior_votes`.  Otherwise every
+    window is classified in full.  The table is the same either way.
+    """
     votes = VoteTable.zeros(len(stream))
-    for window in windows(stream, cfg):
-        labels = classify_chunked(classifier, window.words, cfg.window_words, window.start)
+    wins = windows(stream, cfg)
+    w = cfg.window_words
+    if len(wins) > 1:
+        k = getattr(classifier, "context_words", None)
+        limit = getattr(classifier, "max_window_words", None)
+        if k and 2 * k < w and (limit is None or limit >= w):
+            _shared_interior_votes(votes, wins, classifier, w, k)
+            return votes
+    for window in wins:
+        labels = classify_chunked(classifier, window.words, w, window.start)
         votes.add_window(window.start, labels)
     return votes
+
+
+def _shared_interior_votes(
+    votes: VoteTable, wins: list[Window], classifier: Classifier, w: int, k: int
+) -> None:
+    """Vote ``w``-word windows, classifying their interiors only where needed.
+
+    Each window's first ``k`` labels come from classifying its first
+    ``2k`` words, and its last ``k`` from its last ``2k``.  The interior
+    ``[s+k, s+w-k)`` of a window starting at ``s`` gets the labels any
+    other window gives those words there, so walking left to right, a
+    window is classified in full only when the next window's interior
+    misses a word of its own that no earlier full window labelled.  Full
+    windows vote all their labels; every other window adds one to a
+    difference array over its interior, applied once at the end.
+    """
+    n = len(votes)
+    inner: list[PunctLabel | None] = [None] * n  # each word's label in a window interior
+    shared = [0] * (n + 1)  # difference array of interior votes still to cast
+    known = 0  # interior labels are recorded for every word before this one
+    for i, (s, words) in enumerate(wins):
+        first_unknown = max(known, s + k)
+        stop = s + w - k
+        next_inner = wins[i + 1].start + k if i + 1 < len(wins) else n
+        if first_unknown < stop and next_inner > first_unknown:
+            labels = classify_chunked(classifier, words, w, s)
+            votes.add_window(s, labels)
+            inner[first_unknown:stop] = labels[first_unknown - s : stop - s]
+            known = stop
+        else:
+            head = classify_chunked(classifier, words[: 2 * k], w, s)
+            tail = classify_chunked(classifier, words[-2 * k :], w, stop - k)
+            votes.add_window(s, head[:k])
+            votes.add_window(stop, tail[k:])
+            shared[s + k] += 1
+            shared[stop] -= 1
+    counts = votes.counts
+    count = 0
+    for p in range(n):
+        count += shared[p]
+        if count:
+            counts[p][LABEL_INDEX[inner[p]]] += count
 
 
 def decide(

@@ -1,5 +1,7 @@
+import gc
 import sys
 import textwrap
+import warnings
 
 import pytest
 
@@ -159,6 +161,38 @@ def test_protocol_violation_restarts_child(tmp_path, first_answer, error):
         with pytest.raises(error):
             clf.classify(["a", "b"])
         assert clf.classify(["c", "d"]) == [N, N]
+
+
+def test_killed_and_replaced_children_leave_no_open_pipes(tmp_path):
+    cmd = _stub(
+        tmp_path,
+        "moody",
+        """
+        import sys, time
+        for line in sys.stdin:
+            words = line.split()
+            if words == ["slow"]:
+                time.sleep(600)
+            if words == ["crash"]:
+                sys.exit(1)
+            print(" ".join(["0"] * len(words)), flush=True)
+            if words == ["bye"]:
+                sys.exit(0)
+        """,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=0.5)) as clf:
+            with pytest.raises(AdapterTimeoutError):
+                clf.classify(["slow"])  # the stuck child is killed
+            with pytest.raises(ProcessDiedError):
+                clf.classify(["crash"])  # it and its restart die without answering
+            assert clf.classify(["bye"]) == [N]
+            clf._proc.wait(timeout=5)
+            assert clf.classify(["weer"]) == [N]  # poll() finds it dead: replaced
+        gc.collect()
+    leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaks
 
 
 def test_empty_window_rejected(echo_period):

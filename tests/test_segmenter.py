@@ -5,8 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corpora import template_corpus
 from oracles import HashClassifier, brute_force_segment, brute_force_votes
+from puncseg.classifier import LABELS, train_reference
 from puncseg.errors import EmptyStreamError, WindowClassifyError
 from puncseg.sepp import PunctLabel
 from puncseg.segmenter import (
@@ -406,3 +410,119 @@ def test_brute_force_votes_agree_with_fast_path():
         assert slow_cov[i] == int(fast.coverage[i])
         for c, label in enumerate(LABELS):
             assert slow_counts[i][label] == int(fast.counts[i][c])
+
+
+# --------------------------------------------------------------------------
+# Window-invariant votes: a classifier declaring ``context_words`` has most
+# windows classified at their edges only.  The vote table must not change.
+
+
+class Counting:
+    """Forwards ``classify`` to a model and records each call's length.
+
+    Only the capabilities passed in are declared, so ``Counting(model)``
+    hides ``context_words`` and takes the generic path.
+    """
+
+    name = "counting"
+
+    def __init__(self, inner, **capabilities):
+        self.inner = inner
+        self.max_window_words = None
+        self.__dict__.update(capabilities)
+        self.calls = []
+
+    def classify(self, window):
+        self.calls.append(len(window))
+        return self.inner.classify(window)
+
+
+@pytest.fixture(scope="module")
+def trained():
+    model = train_reference([template_corpus(200, seed=4)], epochs=2, seed=4)
+    assert model.context_words == 4
+    return model
+
+
+_VOCAB = sorted({t.word for t in template_corpus(200, seed=4)}) + ["zo", "maar", "Dus", "1999"]
+
+
+def _random_stream(rng, n):
+    return [rng.choice(_VOCAB) for _ in range(n)]
+
+
+def _assert_invariant_votes_exact(stream, model, window_words, stride):
+    cfg = SegmenterConfig(window_words=window_words, stride=stride)
+    fast = accumulate_votes(stream, model, cfg)
+    generic = accumulate_votes(stream, Counting(model), cfg)
+    slow_counts, _ = brute_force_votes(stream, model, window_words, stride)
+    assert fast.counts == generic.counts
+    assert fast.counts == [[row[label] for label in LABELS] for row in slow_counts]
+    return fast
+
+
+def test_window_invariant_votes_match_generic_loop_and_oracle(trained):
+    rng = random.Random(2024)
+    seen = set()
+    labels_voted = set()
+    for _ in range(1000):
+        window_words = rng.choice([rng.randrange(1, 8), 8, 9, rng.randrange(10, 40)])
+        n = rng.randrange(1, 3 * window_words + 20)
+        stride = rng.choice([1, 1, rng.randrange(1, window_words + 1)])
+        stream = _random_stream(rng, n)
+        votes = _assert_invariant_votes_exact(stream, trained, window_words, stride)
+        labels_voted.update(c for row in votes.counts for c, v in enumerate(row) if v)
+        last = max(0, n - window_words)
+        seen.add((
+            "W<8" if window_words < 8 else "W==8" if window_words == 8 else "W>8",
+            "n<W" if n < window_words else "n>=W",
+            "stride>1" if stride > 1 else "stride=1",
+            "uncovered tail" if last % stride else "covered",
+        ))
+    for shape in ("W<8", "W==8", "W>8"):
+        assert any(shape in case and "n>=W" in case and "stride=1" in case for case in seen)
+    assert any("n<W" in case for case in seen)
+    assert any("stride>1" in case and "W>8" in case for case in seen)
+    assert any("uncovered tail" in case and "W>8" in case for case in seen)
+    assert len(labels_voted) >= 2  # the model does not label everything alike
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 120),
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.randoms(use_true_random=False),
+)
+def test_window_invariant_votes_property(trained, n, window_words, stride, rng):
+    stride = min(stride, window_words)
+    _assert_invariant_votes_exact(_random_stream(rng, n), trained, window_words, stride)
+
+
+def test_multi_window_stream_classifies_far_fewer_positions(trained):
+    stream = _random_stream(random.Random(8), 1000)
+    cfg = SegmenterConfig(window_words=200, stride=1)
+    counting = Counting(trained, context_words=trained.context_words)
+    fast = accumulate_votes(stream, counting, cfg)
+    n_windows = len(windows(stream, cfg))
+    assert sum(counting.calls) < n_windows * cfg.window_words // 10
+    assert fast.counts == accumulate_votes(stream, Counting(trained), cfg).counts
+
+
+@pytest.mark.parametrize("n,stride", [(150, 1), (200, 1), (201, 2)])
+def test_single_window_stream_makes_one_call(trained, n, stride):
+    stream = _random_stream(random.Random(n), n)
+    counting = Counting(trained, context_words=trained.context_words)
+    accumulate_votes(stream, counting, SegmenterConfig(window_words=200, stride=stride))
+    assert counting.calls == [min(n, 200)]
+
+
+def test_declared_context_with_a_small_call_limit_takes_the_chunked_generic_path(trained):
+    stream = _random_stream(random.Random(9), 60)
+    cfg = SegmenterConfig(window_words=20, stride=1)
+    counting = Counting(trained, context_words=trained.context_words, max_window_words=7)
+    votes = accumulate_votes(stream, counting, cfg)
+    assert max(counting.calls) <= 7
+    assert sum(counting.calls) == len(windows(stream, cfg)) * cfg.window_words
+    generic = accumulate_votes(stream, Counting(trained, max_window_words=7), cfg)
+    assert votes.counts == generic.counts
