@@ -12,6 +12,7 @@ adapter for external models lives in :mod:`puncseg.external`.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import struct
 import zlib
@@ -84,18 +85,54 @@ def _hash(feature: str) -> int:
     return zlib.crc32(feature.encode("utf-8")) & (FEATURE_SPACE - 1)
 
 
+#: Words ``_word_ids`` holds before its memo is emptied.  Ids depend on the
+#: word alone, so one memo serves every model and training, and no result
+#: depends on what it holds.  A full memo takes about 18 MiB (290 bytes a
+#: word) besides the words themselves.
+_WORD_IDS_MAX = 1 << 16
+_WORD_IDS: dict[str, tuple[int, ...]] = {}
+
+
+def _word_ids(word: str) -> tuple[int, ...]:
+    """The ``w=``, ``p=``, ``n=``, ``nn=``, ``l=`` and ``s=`` feature ids of ``word``."""
+    ids = _WORD_IDS.get(word)
+    if ids is None:
+        if len(_WORD_IDS) >= _WORD_IDS_MAX:
+            _WORD_IDS.clear()
+        ids = _WORD_IDS[word] = (
+            _hash("w=" + word),
+            _hash("p=" + word),
+            _hash("n=" + word),
+            _hash("nn=" + word),
+            _hash("l=" + word.lower()),
+            _hash("s=" + _shape(word)),
+        )
+    return ids
+
+
+_BUCKETS = ("0", "1", "2", "3", "4+")
+_BUCKET_IDS = {bucket: _hash("b=" + bucket) for bucket in _BUCKETS}
+_LAST_IDS = (_hash("last=0"), _hash("last=1"))
+
+
 def _context_ids(
     prev: str, cur: str, nxt: str, nxt2: str, bucket: str, is_last: bool
 ) -> tuple[int, ...]:
+    """The 8 feature ids of a context, in the order ``w, p, n, nn, l, s, b, last``.
+
+    :func:`_scores` adds weight rows in this order, so it is part of
+    ``TEMPLATE_VERSION`` like the feature strings themselves.
+    """
+    w, _, _, _, lower, shape = _word_ids(cur)
     return (
-        _hash("w=" + cur),
-        _hash("p=" + prev),
-        _hash("n=" + nxt),
-        _hash("nn=" + nxt2),
-        _hash("l=" + cur.lower()),
-        _hash("s=" + _shape(cur)),
-        _hash("b=" + bucket),
-        _hash("last=" + ("1" if is_last else "0")),
+        w,
+        _word_ids(prev)[1],
+        _word_ids(nxt)[2],
+        _word_ids(nxt2)[3],
+        lower,
+        shape,
+        _BUCKET_IDS[bucket],
+        _LAST_IDS[is_last],
     )
 
 
@@ -106,20 +143,27 @@ def _window_keys(window: Sequence[str]) -> list[tuple[str, str, str, str, str, b
     """
     n = len(window)
     padded = [_BOS, *window, _EOS, _EOS]
-    buckets = itertools.chain(("0", "1", "2", "3"), itertools.repeat("4+"))
+    buckets = itertools.chain(_BUCKETS[:-1], itertools.repeat(_BUCKETS[-1]))
     is_last = itertools.chain(itertools.repeat(False, n - 1), (True,))
     return list(zip(padded, window, padded[2:], padded[3:], buckets, is_last))
 
 
+_ZERO_ROW = (0.0,) * N_LABELS
+
+
 def _scores(weights: dict[int, list[float]], ids: Iterable[int]) -> list[float]:
-    """Per-label sum of the weight rows of ``ids``, added in ``ids`` order."""
-    scores = [0.0] * N_LABELS
+    """Per-label sum of the weight rows of ``ids``, added in ``ids`` order.
+
+    The chained ``map`` objects run when the list is built, still adding
+    each label's rows left to right; ``sum()`` would differ in the last
+    bits, as it compensates from CPython 3.12.
+    """
+    scores: Iterable[float] = _ZERO_ROW
     for fid in ids:
         row = weights.get(fid)
         if row is not None:
-            for c in range(N_LABELS):
-                scores[c] += row[c]
-    return scores
+            scores = map(operator.add, scores, row)
+    return list(scores)
 
 
 class LinearModel:

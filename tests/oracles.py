@@ -11,6 +11,38 @@ import zlib
 from puncseg.sepp import PunctLabel
 
 LABELS = list(PunctLabel)
+FEATURE_SPACE = 1 << 20
+
+
+def brute_force_context_ids(prev, cur, nxt, nxt2, bucket, is_last):
+    """Build and hash the 8 feature strings of one context, in scoring order."""
+
+    def shape(word):
+        out = []
+        for ch in word:
+            if ch.isupper():
+                c = "X"
+            elif ch.islower():
+                c = "x"
+            elif ch.isdigit():
+                c = "d"
+            else:
+                c = "o"
+            if not out or out[-1] != c:
+                out.append(c)
+        return "".join(out)
+
+    features = [
+        "w=" + cur,
+        "p=" + prev,
+        "n=" + nxt,
+        "nn=" + nxt2,
+        "l=" + cur.lower(),
+        "s=" + shape(cur),
+        "b=" + bucket,
+        "last=" + ("1" if is_last else "0"),
+    ]
+    return tuple(zlib.crc32(f.encode("utf-8")) & (FEATURE_SPACE - 1) for f in features)
 
 
 def brute_force_votes(stream, classifier, window_words, stride):

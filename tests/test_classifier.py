@@ -3,15 +3,22 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpora import template_corpus
+from oracles import brute_force_context_ids
 from puncseg.classifier import (
     FEATURE_SPACE,
+    LABELS,
     N_LABELS,
     LinearModel,
     ReplayClassifier,
     load_model,
     save_model,
+    _context_ids,
+    _scores,
+    _window_keys,
     train_reference,
 )
 from puncseg.errors import (
@@ -22,6 +29,7 @@ from puncseg.errors import (
     OutOfRangeError,
     VersionMismatchError,
 )
+from puncseg.segmenter import SegmenterConfig, segment
 from puncseg.sepp import LabeledToken, PunctLabel, SeppDocument
 
 N = PunctLabel.NONE
@@ -378,3 +386,116 @@ def test_label_cache_stays_bounded_and_labels_match_a_fresh_model(monkeypatch):
         got = model.classify(window)
         assert len(model._label_cache) <= 40
         assert got == LinearModel(model.weights).classify(window)
+
+
+def _golden_model_and_stream():
+    """A model trained on templates and a 611-word stream with 10 % foreign words."""
+    model = train_reference([template_corpus(200, seed=3)], epochs=2, seed=0)
+    rng = random.Random(7)
+    foreign = ["x", "Ja", "1543", "?", "İstanbul", "ß"]
+    words = [
+        rng.choice(foreign) if rng.random() < 0.1 else t.word
+        for t in template_corpus(90, seed=4).tokens
+    ]
+    return model, words
+
+
+@pytest.mark.parametrize(
+    "window_words, stride, digest",
+    [
+        (200, 1, "9ddd7bde36244c35e761fb85dc842ce63d743eace1e117d813037b8594d0dc6c"),
+        (11, 2, "959f33687c40f202c6eed7ca18aa614653494e6a92898202b718de29af51630c"),
+    ],
+    ids=["W200-stride1", "W11-stride2"],
+)
+def test_segment_labels_and_boundaries_match_golden_digest(window_words, stride, digest):
+    # the vote oracle calls the same classify, so only pinned output catches a scoring drift
+    model, words = _golden_model_and_stream()
+    out = segment(words, model, SegmenterConfig(window_words=window_words, stride=stride))
+    text = " ".join(label.name for label in out.labels) + "|" + ",".join(map(str, out.boundaries))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_scores_match_golden_float_hex():
+    model, words = _golden_model_and_stream()
+    text = "\n".join(
+        " ".join(score.hex() for score in _scores(model.weights, _context_ids(*key)))
+        for key in _window_keys(words[:60])
+    )
+    digest = "9575b2c8cfe280c568aa87ea9f07090b2e465052b4f90b0197d86feeb4145826"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+_ODD_WORDS = ["<s>", "</s>", "İstanbul", "ß", "Ǆ", "ǅ", "1543", "3,5", "?", "...", "«»", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_ODD_WORDS), st.text(max_size=10)), min_size=4, max_size=4
+    )
+)
+def test_context_ids_match_the_string_built_oracle(words):
+    prev, cur, nxt, nxt2 = words
+    for bucket in ("0", "1", "2", "3", "4+"):
+        for is_last in (False, True):
+            key = (prev, cur, nxt, nxt2, bucket, is_last)
+            assert _context_ids(*key) == brute_force_context_ids(*key)
+
+
+def _loop_scores(weights, ids):
+    """The in-place per-label loop: the summation order ``_scores`` must keep."""
+    scores = [0.0] * N_LABELS
+    for fid in ids:
+        row = weights.get(fid)
+        if row is not None:
+            for c in range(N_LABELS):
+                scores[c] += row[c]
+    return scores
+
+
+def test_scores_add_rows_bit_for_bit_like_the_in_place_loop():
+    rng = random.Random(5)
+    values = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.1, -2.5, 3.0]
+    weights = {fid: [rng.choice(values) for _ in range(N_LABELS)] for fid in range(12)}
+    weights[12] = [-0.0] * N_LABELS
+    for _ in range(3000):
+        ids = [rng.randrange(16) for _ in range(rng.randrange(11))]  # ids 13 to 15 have no row
+        got = _scores(weights, ids)
+        assert [s.hex() for s in got] == [s.hex() for s in _loop_scores(weights, ids)]
+    assert [s.hex() for s in _scores(weights, [12, 15])] == ["0x0.0p+0"] * N_LABELS
+
+
+@pytest.mark.parametrize("first, second", [(1, 2), (2, N_LABELS - 1), (0, 3)])
+def test_a_tie_between_two_labels_goes_to_the_earlier_one(first, second):
+    # the two halves of the tie come from different feature rows
+    ids = _context_ids(*_window_keys(["a"])[0])
+    row_w = [0.0] * N_LABELS
+    row_b = [0.0] * N_LABELS
+    row_w[first] = 1.5
+    row_b[second] = 1.5
+    model = LinearModel({ids[0]: row_w, ids[6]: row_b})
+    assert model.classify(["a"]) == [LABELS[first]]
+
+
+def test_word_id_memo_stays_bounded_and_labels_match_the_oracle(monkeypatch):
+    from puncseg import classifier
+
+    monkeypatch.setattr(classifier, "_WORD_IDS_MAX", 50)
+    monkeypatch.setattr(classifier, "_WORD_IDS", {})
+    model = train_reference([template_corpus(200, seed=3)], epochs=2, seed=0)
+    rng = random.Random(9)
+    vocab = sorted({t.word for t in template_corpus(50, seed=1).tokens})
+    vocab += [f"w{i}" for i in range(300)]
+    seen = set()
+    for _ in range(60):
+        window = [rng.choice(vocab) for _ in range(rng.randrange(1, 30))]
+        seen.update(window)
+        got = model.classify(window)
+        assert len(classifier._WORD_IDS) <= 50
+        want = []
+        for key in _window_keys(window):
+            scores = _loop_scores(model.weights, brute_force_context_ids(*key))
+            want.append(LABELS[scores.index(max(scores))])
+        assert got == want
+    assert len(seen) > 4 * 50
