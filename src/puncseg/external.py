@@ -2,18 +2,22 @@
 
 Protocol, bit-exact: the adapter writes one request per classify call,
 the window's words joined by single spaces plus LF, UTF-8.  The child
-answers one line of space-joined label characters (``0 . , ? : -``), one
-per word, in request order, and must flush after each line.
+answers one UTF-8 line of space-joined label characters (``0 . , ? : -``),
+one per word, in request order, and must flush after each line.  LF is
+the only line end, and one CR right before it is tolerated; a reply that
+is not UTF-8 or holds another CR is a protocol error.  The calling thread
+waits on the child's stdout with ``select.poll``: POSIX pipes only.
 """
 
 from __future__ import annotations
 
-import queue
+import os
+import select
 import shlex
 import subprocess
-import threading
+import time
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 from .errors import (
     AdapterTimeoutError,
@@ -43,14 +47,6 @@ class ExternalAdapterConfig:
             raise ValueError("max_window_words must be at least 1")
 
 
-def _pump(stdout: IO[str], lines: "queue.Queue[str | None]") -> None:
-    """Queue the child's lines, then None at EOF; the pipe is closed on the way out."""
-    with stdout:
-        for line in stdout:
-            lines.put(line)
-    lines.put(None)
-
-
 class ExternalClassifier:
     """Owns one child process and serializes requests to it."""
 
@@ -59,30 +55,20 @@ class ExternalClassifier:
     def __init__(self, config: ExternalAdapterConfig):
         self.config = config
         self._proc: subprocess.Popen | None = None
-        self._lines: "queue.Queue[str | None]" = queue.Queue()
-        self._pump_thread: threading.Thread | None = None
+        self._pending = b""  # what the child wrote past the last reply taken
 
     @property
     def max_window_words(self) -> int | None:
         return self.config.max_window_words
 
     def _spawn(self) -> None:
-        self._lines = queue.Queue()
+        self._pending = b""
         self._proc = subprocess.Popen(
-            shlex.split(self.config.command),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            encoding="utf-8",
-            bufsize=1,
+            shlex.split(self.config.command), stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
-        self._pump_thread = threading.Thread(
-            target=_pump, args=(self._proc.stdout, self._lines), daemon=True
-        )
-        self._pump_thread.start()
 
     def _kill(self) -> None:
-        """Stop the child, let the pump read its stdout to EOF, and close its stdin."""
+        """Stop the child and close both its pipes."""
         proc, self._proc = self._proc, None
         if proc is None:
             return
@@ -91,11 +77,29 @@ class ExternalClassifier:
             proc.wait(timeout=5)
         except OSError:
             pass
-        self._pump_thread.join(timeout=5)
+        proc.stdout.close()
         try:
             proc.stdin.close()
         except OSError:  # unsent request bytes meet a closed pipe
             pass
+
+    def _read_reply(self) -> bytes | None:
+        """The child's next line without its LF; None at EOF with nothing pending."""
+        deadline = time.monotonic() + self.config.timeout
+        fd = self._proc.stdout.fileno()
+        poller = select.poll()
+        poller.register(fd, select.POLLIN)
+        while b"\n" not in self._pending:
+            left = deadline - time.monotonic()
+            if left <= 0 or not poller.poll(left * 1000):
+                self._kill()
+                raise AdapterTimeoutError(f"no response within {self.config.timeout}s")
+            chunk = os.read(fd, 1 << 16)
+            if not chunk and not self._pending:
+                return None
+            self._pending += chunk or b"\n"  # EOF: an unterminated tail is the last reply
+        reply, _, self._pending = self._pending.partition(b"\n")
+        return reply
 
     def close(self) -> None:
         self._kill()
@@ -116,7 +120,7 @@ class ExternalClassifier:
         if joined.split() != list(window):
             bad = next(word for word in window if word.split() != [word])
             raise ValueError(f"word {bad!r} cannot cross the line protocol")
-        request = joined + "\n"
+        request = (joined + "\n").encode("utf-8")
 
         restarts = 0
         while True:
@@ -130,13 +134,7 @@ class ExternalClassifier:
             except OSError:  # includes BrokenPipeError: the child is gone
                 line = None
             else:
-                try:
-                    line = self._lines.get(timeout=self.config.timeout)
-                except queue.Empty:
-                    self._kill()
-                    raise AdapterTimeoutError(
-                        f"no response within {self.config.timeout}s"
-                    ) from None
+                line = self._read_reply()
             if line is not None:
                 break
             self._kill()
@@ -153,8 +151,12 @@ class ExternalClassifier:
             raise
 
 
-def _parse_response(line: str, expected: int) -> list[PunctLabel]:
-    parts = line.rstrip("\n").rstrip("\r").split(" ")
+def _parse_response(line: bytes, expected: int) -> list[PunctLabel]:
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ProtocolLabelError("response is not UTF-8") from None
+    parts = text.removesuffix("\r").split(" ")
     if len(parts) != expected:
         raise ProtocolLengthError(f"got {len(parts)} labels for {expected} words")
     labels: list[PunctLabel] = []

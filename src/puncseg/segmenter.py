@@ -92,11 +92,6 @@ class VoteTable:
         for i, label in enumerate(labels, start):
             counts[i][LABEL_INDEX[label]] += 1
 
-    def merge(self, other: "VoteTable") -> "VoteTable":
-        """Associative addition, so per-window partial tables can be folded in any order."""
-        pairs = zip(self.counts, other.counts)
-        return VoteTable([[a + b for a, b in zip(mine, theirs)] for mine, theirs in pairs])
-
 
 def classify_chunked(
     classifier: Classifier, words: Sequence[str], window_words: int, start: int = 0
@@ -238,12 +233,6 @@ def decide(
 
 
 @dataclass
-class Segment:
-    words: list[str]
-    terminal: PunctLabel  # NONE on the stream-final open segment
-
-
-@dataclass
 class SegmentedText:
     """Final labels plus the boundary cut points over the original stream."""
 
@@ -251,19 +240,16 @@ class SegmentedText:
     labels: list[PunctLabel]
     boundaries: list[int] = field(default_factory=list)
 
-    def _spans(self) -> list[tuple[int, int, PunctLabel]]:
-        """(start, stop, terminal) of each segment, one per boundary plus any open tail."""
-        spans: list[tuple[int, int, PunctLabel]] = []
+    def _spans(self) -> list[tuple[int, int]]:
+        """(start, stop) of each segment, one per boundary plus any open tail."""
+        spans: list[tuple[int, int]] = []
         start = 0
         for b in self.boundaries:
-            spans.append((start, b + 1, self.labels[b]))
+            spans.append((start, b + 1))
             start = b + 1
         if start < len(self.words):
-            spans.append((start, len(self.words), PunctLabel.NONE))
+            spans.append((start, len(self.words)))
         return spans
-
-    def segments(self) -> list[Segment]:
-        return [Segment(self.words[a:b], terminal) for a, b, terminal in self._spans()]
 
     def to_text(self) -> str:
         """One segment per line; accepted marks attach to their word without a space."""
@@ -274,7 +260,7 @@ class SegmentedText:
                 words[i] + ("" if labels[i] is PunctLabel.NONE else labels[i].char)
                 for i in range(a, b)
             )
-            for a, b, _ in self._spans()
+            for a, b in self._spans()
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 

@@ -110,6 +110,17 @@ def brute_force_segment(stream, classifier, window_words, stride, theta, segment
     return brute_force_decide(counts, coverage, theta, segmenters, pooling)
 
 
+def brute_force_render(words, labels, boundaries):
+    """Each word with its accepted mark, a line break after every boundary
+    and after an open tail, a space everywhere else."""
+    cuts = set(boundaries)
+    out = []
+    for i, (word, label) in enumerate(zip(words, labels)):
+        out.append(word if label is PunctLabel.NONE else word + label.char)
+        out.append("\n" if i in cuts or i == len(words) - 1 else " ")
+    return "".join(out)
+
+
 class HashClassifier:
     """Deterministic pseudo-random classifier: the label of a window word is a
     hash of the window content, the in-window position, and a case seed."""

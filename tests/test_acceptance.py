@@ -16,7 +16,7 @@ import time
 import pytest
 
 from corpora import template_corpus
-from oracles import HashClassifier, brute_force_segment
+from oracles import HashClassifier, brute_force_render, brute_force_segment
 from puncseg.classifier import ReplayClassifier, train_reference
 from puncseg.errors import SeppParseError
 from puncseg.external import ExternalAdapterConfig, ExternalClassifier
@@ -156,11 +156,11 @@ def test_theta_monotonicity(random_cases, case_votes):
 
 
 def test_word_preservation(random_cases):
-    """Criterion 5: flatten(segment(s)) == s, random and verbatim sample streams."""
+    """Criterion 5: to_text() holds every word of s, in order, on its segment's line."""
     for stream, window, seg_set, theta, clf in random_cases:
         cfg = SegmenterConfig(window_words=window, theta=theta, segmenters=seg_set)
         result = segment(stream, clf, cfg)
-        assert [w for s in result.segments() for w in s.words] == stream
+        assert result.to_text() == brute_force_render(stream, result.labels, result.boundaries)
 
     for words, marks in (
         (COPERNICUS_WORDS, COPERNICUS_PRED),
@@ -168,7 +168,7 @@ def test_word_preservation(random_cases):
     ):
         replay = ReplayClassifier(words, labels_for(words, marks))
         result = segment(words, replay, SegmenterConfig())
-        assert [w for s in result.segments() for w in s.words] == words
+        assert result.to_text() == brute_force_render(words, result.labels, result.boundaries)
     _pass("criterion 5: word preservation on 1000 random streams and both sample passages")
 
 

@@ -1,7 +1,11 @@
 import gc
+import os
 import sys
 import textwrap
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +167,12 @@ def test_protocol_violation_restarts_child(tmp_path, first_answer, error):
         assert clf.classify(["c", "d"]) == [N, N]
 
 
+def _open_fds():
+    """How many file descriptors this process holds; None where /proc/self/fd is absent."""
+    fd_dir = Path("/proc/self/fd")
+    return len(os.listdir(fd_dir)) if fd_dir.is_dir() else None
+
+
 def test_killed_and_replaced_children_leave_no_open_pipes(tmp_path):
     cmd = _stub(
         tmp_path,
@@ -180,6 +190,7 @@ def test_killed_and_replaced_children_leave_no_open_pipes(tmp_path):
                 sys.exit(0)
         """,
     )
+    fds_before = _open_fds()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=0.5)) as clf:
@@ -193,6 +204,111 @@ def test_killed_and_replaced_children_leave_no_open_pipes(tmp_path):
         gc.collect()
     leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
     assert not leaks
+    assert _open_fds() == fds_before  # a leaked selector fd raises no ResourceWarning
+
+
+def test_non_utf8_reply_is_protocol_error_and_restarts_child(tmp_path):
+    cmd = _stub(
+        tmp_path,
+        "latin1",
+        """
+        import sys
+        for line in sys.stdin:
+            words = line.split()
+            reply = " ".join(["0"] * len(words)).encode()
+            if words == ["slecht"]:
+                reply = b"\\xe9"  # é in Latin-1
+            sys.stdout.buffer.write(reply + b"\\n")
+            sys.stdout.flush()
+        """,
+    )
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=30)) as clf:
+        assert clf.classify(["goed"]) == [N]
+        first_pid = clf._proc.pid
+        started = time.monotonic()
+        with pytest.raises(ProtocolLabelError):
+            clf.classify(["slecht"])
+        assert time.monotonic() - started < 5
+        assert clf.classify(["goed"]) == [N]
+        assert clf._proc.pid != first_pid
+
+
+def test_mid_line_cr_is_not_a_line_end(tmp_path):
+    # Read as a line end, the CR would answer "a" with "0" and leave ". ."
+    # to be served as the answer to the next request.
+    cmd = _stub(
+        tmp_path,
+        "mid_cr",
+        """
+        import sys
+        for line in sys.stdin:
+            words = line.split()
+            print("0\\r. ." if words == ["a"] else " ".join(["0"] * len(words)), flush=True)
+        """,
+    )
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        with pytest.raises(ProtocolLengthError):
+            clf.classify(["a"])
+        assert clf.classify(["b", "c"]) == [N, N]
+
+
+def test_crlf_reply_accepted(tmp_path):
+    cmd = _stub(
+        tmp_path,
+        "crlf",
+        """
+        import sys
+        for line in sys.stdin:
+            sys.stdout.write(" ".join(["0"] * len(line.split())) + "\\r\\n")
+            sys.stdout.flush()
+        """,
+    )
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        assert clf.classify(["a", "b"]) == [N, N]
+        assert clf.classify(["c"]) == [N]
+
+
+def test_reply_written_in_two_pieces_is_assembled(tmp_path):
+    cmd = _stub(
+        tmp_path,
+        "halting",
+        """
+        import sys, time
+        for line in sys.stdin:
+            sys.stdout.write("0 ")
+            sys.stdout.flush()
+            time.sleep(0.2)
+            sys.stdout.write(".\\n")
+            sys.stdout.flush()
+        """,
+    )
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        assert clf.classify(["een", "twee"]) == [N, P]
+        assert clf.classify(["drie", "vier"]) == [N, P]
+
+
+def test_unterminated_reply_before_exit_accepted(tmp_path):
+    cmd = _stub(
+        tmp_path,
+        "no_lf",
+        """
+        import sys
+        sys.stdin.readline()
+        sys.stdout.write("0 .")
+        """,
+    )
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        assert clf.classify(["een", "twee"]) == [N, P]
+        assert clf.classify(["drie", "vier"]) == [N, P]  # a new child for the next call
+
+
+def test_adapter_starts_no_thread(echo_period):
+    threads_before = threading.active_count()
+    clf = ExternalClassifier(ExternalAdapterConfig(echo_period, timeout=10))
+    assert clf.classify(["kijk", "om"]) == [N, P]
+    assert threading.active_count() == threads_before
+    clf.close()
+    assert threading.active_count() == threads_before
 
 
 def test_empty_window_rejected(echo_period):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import template_corpus
-from oracles import HashClassifier, brute_force_segment, brute_force_votes
+from oracles import HashClassifier, brute_force_render, brute_force_segment, brute_force_votes
 from puncseg.classifier import LABELS, train_reference
 from puncseg.errors import EmptyStreamError, WindowClassifyError
 from puncseg.sepp import PunctLabel
@@ -136,19 +136,16 @@ def test_vote_table_sums_match_coverage():
     assert max(votes.coverage) <= -(-cfg.window_words // cfg.stride)
 
 
-def test_vote_table_merge_matches_sequential():
+def test_vote_table_add_window_matches_accumulate_votes():
     cfg = SegmenterConfig(window_words=4, stride=1)
     stream = _stream(12)
     clf = HashClassifier(11, spread=6)
     full = accumulate_votes(stream, clf, cfg)
-    # accumulate each window into its own partial table, then fold
-    partial = VoteTable.zeros(len(stream))
+    folded = VoteTable.zeros(len(stream))
     for w in windows(stream, cfg):
-        piece = VoteTable.zeros(len(stream))
-        piece.add_window(w.start, clf.classify(w.words))
-        partial = partial.merge(piece)
-    assert partial.counts == full.counts
-    assert partial.coverage == full.coverage
+        folded.add_window(w.start, clf.classify(w.words))
+    assert folded.counts == full.counts
+    assert folded.coverage == full.coverage
 
 
 def test_import_leaves_numpy_unloaded():
@@ -228,16 +225,15 @@ def test_decide_uncovered_word_stays_none():
 def test_segment_constant_none_gives_single_open_segment():
     result = segment(_stream(7), ConstantClassifier(), SegmenterConfig())
     assert result.boundaries == []
-    segs = result.segments()
-    assert len(segs) == 1
-    assert segs[0].words == _stream(7)
-    assert segs[0].terminal is N
+    assert result.to_text() == " ".join(_stream(7)) + "\n"
 
 
 def test_segment_every_third_word():
     result = segment(_stream(10), EveryThird(), SegmenterConfig(window_words=200, theta=0.1))
     assert result.boundaries == [2, 5, 8]
-    assert [len(s.words) for s in result.segments()] == [3, 3, 3, 1]
+    text = result.to_text()
+    assert text == brute_force_render(_stream(10), result.labels, result.boundaries)
+    assert [len(line.split()) for line in text.splitlines()] == [3, 3, 3, 1]
 
 
 def test_segment_preserves_words():
@@ -250,8 +246,7 @@ def test_segment_preserves_words():
             theta=rng.choice([0.0, 0.1, 0.5]),
         )
         result = segment(stream, HashClassifier(case, spread=6), cfg)
-        flattened = [w for seg in result.segments() for w in seg.words]
-        assert flattened == stream
+        assert result.to_text() == brute_force_render(stream, result.labels, result.boundaries)
 
 
 def test_single_window_passes_labels_through_for_small_theta():
@@ -270,7 +265,7 @@ def test_render_attaches_punctuation():
 def test_render_closed_final_segment():
     result = segment(["a", "b"], FixedLabels([N, P]), SegmenterConfig(theta=0.1))
     assert result.to_text() == "a b.\n"
-    assert result.segments()[-1].terminal is P
+    assert result.boundaries == [1]
 
 
 def test_classifier_error_annotated_with_window_start():
