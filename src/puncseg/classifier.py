@@ -2,8 +2,9 @@
 
 A classifier maps a window of words to one label per word, is
 deterministic, and may advertise ``max_window_words`` as the largest call
-it accepts (``None`` means unlimited) and ``context_words`` as the reach
-of its predictions (see :class:`Classifier`).  This module ships a trainable
+it accepts (``None`` means unlimited), ``context_words`` as the reach
+of its predictions, and ``expect`` to hear of its next windows early
+(see :class:`Classifier`).  This module ships a trainable
 averaged-perceptron reference model, a replay classifier that serves
 pre-recorded labels, and binary model persistence.  The subprocess
 adapter for external models lives in :mod:`puncseg.external`.
@@ -29,7 +30,6 @@ from .errors import (
 from .sepp import PunctLabel, SeppDocument, atomic_write
 
 LABELS: tuple[PunctLabel, ...] = tuple(PunctLabel)
-LABEL_INDEX: dict[PunctLabel, int] = {label: i for i, label in enumerate(LABELS)}
 N_LABELS = len(LABELS)
 
 #: Hashed feature buckets; fixed so saved models are portable.
@@ -48,12 +48,20 @@ _EOS = "</s>"
 class Classifier(Protocol):
     """Contract every classifier implementation honors.
 
-    Optional capabilities are class attributes the segmenter probes with
+    Optional capabilities are attributes the segmenter probes with
     ``getattr``.  ``context_words = k`` (a positive int) promises that the
     label at offset ``j`` of a ``w``-word window depends only on
     ``window[j-k : j+k+1]``, ``min(j, k)`` and ``min(w-1-j, k)``.  The
     segmenter then classifies only the edges of most windows and shares
     the labels of their interiors; a wrong declaration gives wrong votes.
+
+    ``expect(windows)`` is a method taking a list of windows: the next
+    ``classify`` calls will be for these windows, in this order.  The
+    segmenter announces its calls this way before it classifies every
+    window in full, so a classifier can start on later windows early
+    (the external adapter keeps several requests in flight).  ``classify``
+    stays the only call that labels, and a call for another window must
+    still be answered correctly.
     """
 
     name: str
@@ -214,7 +222,7 @@ def _pooled_examples(
     examples: list[tuple[tuple[int, ...], int]] = []
     for doc in documents:
         words = [t.word for t in doc.tokens]
-        golds = [LABEL_INDEX[t.label] for t in doc.tokens]
+        golds = [t.label.index for t in doc.tokens]
         for start in range(0, len(words), window_words):
             keys = _window_keys(words[start : start + window_words])
             for i, key in enumerate(keys, start):

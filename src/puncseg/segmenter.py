@@ -16,9 +16,9 @@ is the same as when every window is classified in full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .classifier import LABEL_INDEX, LABELS, N_LABELS, Classifier
+from .classifier import LABELS, N_LABELS, Classifier
 from .errors import EmptyStreamError, WindowClassifyError
 from .sepp import DEFAULT_SEGMENTERS, PunctLabel
 
@@ -90,7 +90,7 @@ class VoteTable:
         """Count one vote per label, the first for word ``start``."""
         counts = self.counts
         for i, label in enumerate(labels, start):
-            counts[i][LABEL_INDEX[label]] += 1
+            counts[i][label.index] += 1
 
 
 def classify_chunked(
@@ -102,12 +102,34 @@ def classify_chunked(
     or a reply of the wrong length raises WindowClassifyError naming the
     stream position where that call began.
     """
+    labels: list[PunctLabel] = []
+    for _, part in _classify_windows(classifier, [Window(start, words)], window_words):
+        labels.extend(part)
+    return labels
+
+
+def _classify_windows(
+    classifier: Classifier, wins: list[Window], window_words: int
+) -> Iterator[tuple[int, list[PunctLabel]]]:
+    """(stream position, labels) of each call that labels ``wins``, in order.
+
+    Each window is cut into calls of at most min(window_words, classifier
+    limit) words.  A classifier that can ``expect`` is told every call's
+    words before the first.
+    """
     limit = getattr(classifier, "max_window_words", None)
     size = window_words if limit is None else min(window_words, limit)
-    labels: list[PunctLabel] = []
-    for off in range(0, len(words), size):
-        chunk = words[off : off + size]
-        at = start + off
+    calls = wins
+    if any(len(words) > size for _, words in wins):
+        calls = [
+            Window(s + off, words[off : off + size])
+            for s, words in wins
+            for off in range(0, len(words), size)
+        ]
+    expect = getattr(classifier, "expect", None)
+    if expect is not None:
+        expect([chunk for _, chunk in calls])
+    for at, chunk in calls:
         try:
             part = classifier.classify(chunk)
         except Exception as exc:
@@ -118,8 +140,7 @@ def classify_chunked(
             raise WindowClassifyError(
                 at, f"classifier broke the length contract at window {at}"
             )
-        labels.extend(part)
-    return labels
+        yield at, part
 
 
 def accumulate_votes(
@@ -130,7 +151,8 @@ def accumulate_votes(
     When the stream has more than one window and the classifier declares
     ``context_words = k`` with ``2k < W`` and accepts whole windows, the
     votes come from :func:`_shared_interior_votes`.  Otherwise every
-    window is classified in full.  The table is the same either way.
+    window is classified in full, its calls announced up front.  The
+    table is the same either way.
     """
     votes = VoteTable.zeros(len(stream))
     wins = windows(stream, cfg)
@@ -141,9 +163,8 @@ def accumulate_votes(
         if k and 2 * k < w and (limit is None or limit >= w):
             _shared_interior_votes(votes, wins, classifier, w, k)
             return votes
-    for window in wins:
-        labels = classify_chunked(classifier, window.words, w, window.start)
-        votes.add_window(window.start, labels)
+    for at, labels in _classify_windows(classifier, wins, w):
+        votes.add_window(at, labels)
     return votes
 
 
@@ -186,7 +207,7 @@ def _shared_interior_votes(
     for p in range(n):
         count += shared[p]
         if count:
-            counts[p][LABEL_INDEX[inner[p]]] += count
+            counts[p][inner[p].index] += count
 
 
 def decide(
@@ -201,7 +222,7 @@ def decide(
     decided per-class over the non-segmenting labels only.  A word covered
     by no window stays NONE.
     """
-    seg_idx = sorted(LABEL_INDEX[label] for label in cfg.segmenters)
+    seg_idx = sorted(label.index for label in cfg.segmenters)
     seg_set = set(seg_idx)
     pooled = cfg.pooling == "pooled"
     candidates = [c for c in range(1, N_LABELS) if not (pooled and c in seg_set)]

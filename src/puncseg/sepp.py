@@ -34,12 +34,22 @@ class PunctLabel(enum.Enum):
     COLON = ":"
     DASH = "-"
 
+    #: Position in declaration order: the label's column in vote tables
+    #: and weight rows.  Reading it makes no Python-level call, unlike
+    #: hashing the member for a dict lookup.
+    index: int
+
     @property
     def char(self) -> str:
         return self.value
 
 
-_LABEL_BY_CHAR = {label.value: label for label in PunctLabel}
+for _index, _label in enumerate(PunctLabel):
+    _label.index = _index
+
+
+#: Each label by its serialized character.
+LABEL_BY_CHAR: dict[str, PunctLabel] = {label.value: label for label in PunctLabel}
 
 #: Row/column order used by confusion matrices and evaluation reports.
 REPORT_ORDER: tuple[PunctLabel, ...] = (
@@ -59,7 +69,7 @@ DEFAULT_SEGMENTERS: frozenset[PunctLabel] = frozenset(
 
 def label_from_char(ch: str) -> PunctLabel:
     """Map a single serialized character to its label, raising KeyError otherwise."""
-    return _LABEL_BY_CHAR[ch]
+    return LABEL_BY_CHAR[ch]
 
 
 @dataclass(frozen=True, slots=True)

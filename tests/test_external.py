@@ -9,15 +9,23 @@ from pathlib import Path
 
 import pytest
 
+from puncseg import external
 from puncseg.errors import (
     AdapterTimeoutError,
     EmptyWindowError,
     ProcessDiedError,
     ProtocolLabelError,
     ProtocolLengthError,
+    WindowClassifyError,
 )
 from puncseg.external import ExternalAdapterConfig, ExternalClassifier
+from puncseg.segmenter import SegmenterConfig, classify_chunked, segment
 from puncseg.sepp import PunctLabel
+
+# A pipe or child left open by the adapter fails the test that leaked it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 N = PunctLabel.NONE
 P = PunctLabel.PERIOD
@@ -337,3 +345,196 @@ def test_max_window_words_below_one_rejected(limit):
         ExternalAdapterConfig("cmd", max_window_words=limit)
     assert ExternalAdapterConfig("cmd", max_window_words=None).max_window_words is None
     assert ExternalAdapterConfig("cmd", max_window_words=1).max_window_words == 1
+
+
+# Requests in flight: ``expect`` announces the windows of the next calls,
+# and each call writes up to ``_IN_FLIGHT`` requests before it waits.
+
+# Labels every word by its first letter, so each window's reply is known.
+_FIRST_LETTER = """
+    import sys
+    for line in sys.stdin:
+        print(" ".join("." if w.startswith("p") else "0" for w in line.split()), flush=True)
+    """
+
+
+def _rule(words):
+    return [P if w.startswith("p") else N for w in words]
+
+
+def _stream(n):
+    return [("p" if i % 7 == 3 else "w") + str(i) for i in range(n)]
+
+
+def _record_popen(monkeypatch):
+    procs = []
+    real = external.subprocess.Popen
+
+    def popen(*args, **kwargs):
+        proc = real(*args, **kwargs)
+        procs.append(proc)
+        return proc
+
+    monkeypatch.setattr(external.subprocess, "Popen", popen)
+    return procs
+
+
+def test_child_that_stops_reading_times_out_on_a_large_request(tmp_path, monkeypatch):
+    # 40,000 words fill the stdin pipe long before the request is written.
+    cmd = _stub(tmp_path, "no_reader", "import time; time.sleep(600)")
+    procs = _record_popen(monkeypatch)
+    words = [f"w{i}" for i in range(40_000)]
+    config = ExternalAdapterConfig(cmd, timeout=0.5, max_window_words=None)
+    with ExternalClassifier(config) as clf:
+        started = time.monotonic()
+        with pytest.raises(AdapterTimeoutError):
+            clf.classify(words)
+        assert time.monotonic() - started < 5
+        [proc] = procs
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed
+
+
+def test_child_reading_in_batches_gets_several_requests_per_batch(tmp_path):
+    batches = tmp_path / "batches"
+    cmd = _stub(
+        tmp_path,
+        "batching",
+        f"""
+        import os, sys, time
+        pending = b""
+        count = 0
+        while True:
+            chunk = os.read(0, 1 << 16)
+            if not chunk:
+                break
+            pending += chunk
+            *lines, pending = pending.split(b"\\n")
+            if not lines:
+                continue
+            time.sleep(0.05)  # one fixed cost per batch, as a batched forward pass
+            count += 1
+            with open({str(batches)!r}, "a") as log:
+                log.write(f"{{count}}\\n")
+            for line in lines:
+                words = line.decode().split()
+                sys.stdout.write(" ".join("." if w.startswith("p") else "0" for w in words) + "\\n")
+            sys.stdout.flush()
+        """,
+    )
+    stream = _stream(49)
+    cfg = SegmenterConfig(window_words=10)  # 40 windows
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        result = segment(stream, clf, cfg)
+    assert result.labels == _rule(stream)
+    n_batches = len(batches.read_text().splitlines())
+    assert n_batches <= 40 // 2
+
+
+def test_windows_other_than_the_announced_ones_get_their_own_labels(tmp_path):
+    cmd = _stub(tmp_path, "first_letter", _FIRST_LETTER)
+    announced = [["p1", "a"], ["b", "p2"], ["c"], ["p3"], ["d", "e", "p4"]]
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        clf.expect(announced)
+        assert clf.classify(["x", "py"]) == [N, P]  # not the first announced window
+        assert clf.classify(announced[1]) == _rule(announced[1])
+        clf.expect(announced)
+        assert clf.classify(announced[0]) == _rule(announced[0])
+        assert clf.classify(announced[2]) == _rule(announced[2])  # one skipped
+        assert clf.classify(announced[1]) == _rule(announced[1])  # and back
+        assert clf.classify(["q", "p"]) == [N, P]
+
+
+def test_restarts_resend_unanswered_requests_in_order(tmp_path):
+    # Each life answers two requests and exits, with more requests in flight.
+    answered = tmp_path / "answered"
+    cmd = _stub(
+        tmp_path,
+        "two_per_life",
+        f"""
+        import sys
+        for _ in range(2):
+            line = sys.stdin.readline()
+            with open({str(answered)!r}, "a") as log:
+                log.write(line)
+            print(" ".join("." if w.startswith("p") else "0" for w in line.split()), flush=True)
+        """,
+    )
+    wins = [[f"w{i}", f"p{i}"] if i % 2 else [f"p{i}"] for i in range(11)]
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10, max_restarts=1)) as clf:
+        clf.expect(wins)
+        assert [clf.classify(w) for w in wins] == [_rule(w) for w in wins]
+    assert answered.read_text().splitlines() == [" ".join(w) for w in wins]
+
+
+def test_bad_reply_in_read_ahead_names_its_window_and_next_call_gets_fresh_child(tmp_path):
+    cmd = _stub(
+        tmp_path,
+        "bad_for_w5",
+        """
+        import sys
+        for line in sys.stdin:
+            words = line.split()
+            n = len(words) - 1 if "w5" in words else len(words)
+            print(" ".join(["0"] * n), flush=True)
+        """,
+    )
+    stream = [f"w{i}" for i in range(12)]
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        with pytest.raises(WindowClassifyError) as info:
+            segment(stream, clf, SegmenterConfig(window_words=3))
+        assert info.value.window_start == 3  # the first window holding w5
+        assert isinstance(info.value.__cause__, ProtocolLengthError)
+        assert clf._proc is None
+        assert clf.classify(["a", "b"]) == [N, N]
+
+
+class _Unannounced:
+    """The adapter without ``expect``: every call is sent on its own."""
+
+    name = "external"
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.max_window_words = inner.max_window_words
+
+    def classify(self, window):
+        return self._inner.classify(window)
+
+
+@pytest.mark.parametrize("bad_word", ["twee woorden", "", "nieuwe\nregel"])
+def test_word_that_cannot_cross_fails_at_its_own_window_when_announced(tmp_path, bad_word):
+    cmd = _stub(tmp_path, "first_letter", _FIRST_LETTER)
+    stream = _stream(30)
+    stream[17] = bad_word
+    cfg = SegmenterConfig(window_words=5)
+    failures = []
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        for wrapped in (clf, _Unannounced(clf)):
+            with pytest.raises(WindowClassifyError) as info:
+                segment(stream, wrapped, cfg)
+            failures.append((info.value.window_start, type(info.value.__cause__)))
+        assert clf.classify(["p", "q"]) == [P, N]
+    assert failures == [(13, ValueError)] * 2  # rejected before it was sent
+
+
+def test_classify_chunked_announces_its_chunks(tmp_path):
+    cmd = _stub(tmp_path, "first_letter", _FIRST_LETTER)
+    words = _stream(23)
+    config = ExternalAdapterConfig(cmd, timeout=10, max_window_words=4)
+    with ExternalClassifier(config) as clf:
+        assert classify_chunked(clf, words, 200) == _rule(words)
+        assert not clf._sent and not clf._ahead
+
+
+def test_close_with_requests_in_flight_leaves_no_open_fds(tmp_path):
+    cmd = _stub(tmp_path, "first_letter", _FIRST_LETTER)
+    fds_before = _open_fds()
+    clf = ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10))
+    wins = [[f"w{i}"] for i in range(20)]
+    clf.expect(wins)
+    assert clf.classify(wins[0]) == [N]
+    assert len(clf._sent) == external._IN_FLIGHT - 1
+    clf.close()
+    gc.collect()
+    assert _open_fds() == fds_before

@@ -17,6 +17,7 @@ from puncseg.segmenter import (
     SegmenterConfig,
     VoteTable,
     accumulate_votes,
+    classify_chunked,
     decide,
     segment,
     windows,
@@ -521,3 +522,49 @@ def test_declared_context_with_a_small_call_limit_takes_the_chunked_generic_path
     assert sum(counting.calls) == len(windows(stream, cfg)) * cfg.window_words
     generic = accumulate_votes(stream, Counting(trained, max_window_words=7), cfg)
     assert votes.counts == generic.counts
+
+
+# --------------------------------------------------------------------------
+# Announced calls: a classifier with ``expect`` hears of every call of the
+# full-window path, once and in order, before the first of them.
+
+
+class Announcing:
+    """Records what ``expect`` announces and what ``classify`` is asked."""
+
+    name = "announcing"
+
+    def __init__(self, inner, max_window_words=None):
+        self.inner = inner
+        self.max_window_words = max_window_words
+        self.announced = []
+        self.asked = []
+
+    def expect(self, windows):
+        self.announced.append([list(w) for w in windows])
+
+    def classify(self, window):
+        self.asked.append(list(window))
+        return self.inner.classify(window)
+
+
+@pytest.mark.parametrize("limit", [None, 7])
+def test_full_window_path_announces_every_call_once_in_order(trained, limit):
+    stream = _random_stream(random.Random(10), 60)
+    cfg = SegmenterConfig(window_words=20, stride=3)
+    announcing = Announcing(trained, limit)
+    votes = accumulate_votes(stream, announcing, cfg)
+    assert announcing.announced == [announcing.asked]
+    assert max(map(len, announcing.asked)) == (limit or 20)
+    unannounced = Counting(trained, max_window_words=limit)
+    assert votes.counts == accumulate_votes(stream, unannounced, cfg).counts
+
+
+def test_classify_chunked_announces_its_chunks_once(trained):
+    words = _random_stream(random.Random(11), 45)
+    announcing = Announcing(trained, max_window_words=7)
+    labels = classify_chunked(announcing, words, 20)
+    chunks = [words[off : off + 7] for off in range(0, 45, 7)]
+    assert announcing.announced == [chunks]
+    assert announcing.asked == chunks
+    assert labels == [label for chunk in chunks for label in trained.classify(chunk)]
