@@ -32,26 +32,15 @@ from .sepp import (
     write_sepp,
 )
 
-_DEFAULTS = {
-    "window": 200,
-    "stride": 1,
-    "theta": 0.1,
-    "segmenters": ".?",
-    "pooling": "per_class",
-    "classifier": None,
-    "seed": 0,
-}
-
-CONFIG_KEYS = frozenset(_DEFAULTS)
-
-_CONVERTERS = {
-    "window": int,
-    "stride": int,
-    "theta": float,
-    "segmenters": str,
-    "pooling": str,
-    "classifier": str,
-    "seed": int,
+#: Settings shared by a config file and the flags: key -> (type, default, help).
+_SHARED = {
+    "window": (int, 200, "sliding window size in words"),
+    "stride": (int, 1, "window stride in words"),
+    "theta": (float, 0.1, "vote-ratio acceptance threshold"),
+    "segmenters": (str, ".?", "segmenting label characters, e.g. '.' or '.?'"),
+    "pooling": (str, "per_class", "vote pooling mode"),
+    "classifier": (str, None, "builtin:<model path> | external:<command> | replay:<sepp path>"),
+    "seed": (int, 0, "RNG seed"),
 }
 
 #: Bounded numeric flags and settings: the test each value must pass, and its rule.
@@ -81,10 +70,10 @@ def load_config_file(path) -> dict:
         if not eq:
             raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
         key = key.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _SHARED:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
         try:
-            values[key] = _CONVERTERS[key](raw.strip())
+            values[key] = _SHARED[key][0](raw.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
     _check_ranges(values, f"{path}: ")
@@ -93,11 +82,11 @@ def load_config_file(path) -> dict:
 
 def resolve_settings(args: argparse.Namespace, config_path=None) -> dict:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default, _) in _SHARED.items()}
     path = config_path if config_path is not None else getattr(args, "config", None)
     if path:
         merged.update(load_config_file(path))
-    for key in CONFIG_KEYS:
+    for key in _SHARED:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -362,21 +351,9 @@ def cmd_significance(args: argparse.Namespace) -> int:
 
 
 def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window", type=int, default=None, help="sliding window size in words")
-    parser.add_argument("--stride", type=int, default=None, help="window stride in words")
-    parser.add_argument("--theta", type=float, default=None, help="vote-ratio acceptance threshold")
-    parser.add_argument(
-        "--segmenters", default=None, help="segmenting label characters, e.g. '.' or '.?'"
-    )
-    parser.add_argument(
-        "--pooling", choices=["per_class", "pooled"], default=None, help="vote pooling mode"
-    )
-    parser.add_argument(
-        "--classifier",
-        default=None,
-        help="builtin:<model path> | external:<command> | replay:<sepp path>",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed")
+    for key, (kind, _, help_text) in _SHARED.items():
+        choices = ["per_class", "pooled"] if key == "pooling" else None
+        parser.add_argument(f"--{key}", type=kind, choices=choices, help=help_text)
     parser.add_argument("--config", default=None, help="key = value settings file")
 
 

@@ -33,8 +33,6 @@ class ConfusionMatrix:
 
     counts: list[list[int]]
 
-    labels = REPORT_ORDER
-
     @classmethod
     def zeros(cls) -> "ConfusionMatrix":
         return cls([[0] * _N for _ in range(_N)])
@@ -195,12 +193,12 @@ class DistributionSummary:
     ci_high: float
 
 
-def summarize(scores: Sequence[float], *, sample_stddev: bool = False) -> DistributionSummary:
+def summarize(scores: Sequence[float]) -> DistributionSummary:
     """Median, mean, stddev and the rank-based 95% interval of a score list.
 
     The interval takes the values at 1-based ranks floor(0.025 n) + 1 and
     ceil(0.975 n) of the ascending sort (ranks 251 and 9750 at n=10000).
-    The standard deviation is the population one unless ``sample_stddev``.
+    The standard deviation is the population one.
     """
     n = len(scores)
     if n == 0:
@@ -208,17 +206,11 @@ def summarize(scores: Sequence[float], *, sample_stddev: bool = False) -> Distri
     ordered = sorted(scores)
     lo_rank = n // 40 + 1  # floor(n/40) + 1, exact integer form of floor(0.025 n) + 1
     hi_rank = (39 * n + 39) // 40  # ceil(39 n / 40)
-    if n == 1:
-        stddev = 0.0
-    elif sample_stddev:
-        stddev = statistics.stdev(scores)
-    else:
-        stddev = statistics.pstdev(scores)
     return DistributionSummary(
         n=n,
         median=float(statistics.median(ordered)),
         average=statistics.fmean(scores),
-        stddev=stddev,
+        stddev=statistics.pstdev(scores),
         ci_low=float(ordered[lo_rank - 1]),
         ci_high=float(ordered[hi_rank - 1]),
     )

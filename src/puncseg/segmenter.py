@@ -16,7 +16,7 @@ is the same as when every window is classified in full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .classifier import LABELS, N_LABELS, Classifier
 from .errors import EmptyStreamError, WindowClassifyError
@@ -94,28 +94,19 @@ class VoteTable:
 
 
 def classify_chunked(
-    classifier: Classifier, words: Sequence[str], window_words: int, start: int = 0
+    classifier: Classifier, words: Sequence[str], window_words: int
 ) -> list[PunctLabel]:
-    """Label ``words`` in calls of at most min(window_words, classifier limit) words.
-
-    ``start`` is the position of ``words[0]`` in the stream; a failing call
-    or a reply of the wrong length raises WindowClassifyError naming the
-    stream position where that call began.
-    """
-    labels: list[PunctLabel] = []
-    for _, part in _classify_windows(classifier, [Window(start, words)], window_words):
-        labels.extend(part)
-    return labels
+    """Label ``words`` in calls of at most min(window_words, classifier limit) words."""
+    calls = _announced_calls(classifier, [Window(0, words)], window_words)
+    return [label for at, chunk in calls for label in _classify(classifier, chunk, at)]
 
 
-def _classify_windows(
+def _announced_calls(
     classifier: Classifier, wins: list[Window], window_words: int
-) -> Iterator[tuple[int, list[PunctLabel]]]:
-    """(stream position, labels) of each call that labels ``wins``, in order.
+) -> list[Window]:
+    """The calls that label ``wins``, each at most min(window_words, classifier limit) words.
 
-    Each window is cut into calls of at most min(window_words, classifier
-    limit) words.  A classifier that can ``expect`` is told every call's
-    words before the first.
+    A classifier that can ``expect`` is told every call's words before the first.
     """
     limit = getattr(classifier, "max_window_words", None)
     size = window_words if limit is None else min(window_words, limit)
@@ -129,18 +120,23 @@ def _classify_windows(
     expect = getattr(classifier, "expect", None)
     if expect is not None:
         expect([chunk for _, chunk in calls])
-    for at, chunk in calls:
-        try:
-            part = classifier.classify(chunk)
-        except Exception as exc:
-            raise WindowClassifyError(
-                at, f"classifier failed in window starting at word {at}: {exc}"
-            ) from exc
-        if len(part) != len(chunk):
-            raise WindowClassifyError(
-                at, f"classifier broke the length contract at window {at}"
-            )
-        yield at, part
+    return calls
+
+
+def _classify(classifier: Classifier, words: Sequence[str], at: int) -> list[PunctLabel]:
+    """The labels of one call on ``words``, which begin at stream word ``at``.
+
+    A failing call or a reply of the wrong length raises WindowClassifyError(at).
+    """
+    try:
+        labels = classifier.classify(words)
+    except Exception as exc:
+        raise WindowClassifyError(
+            at, f"classifier failed in window starting at word {at}: {exc}"
+        ) from exc
+    if len(labels) != len(words):
+        raise WindowClassifyError(at, f"classifier broke the length contract at window {at}")
+    return labels
 
 
 def accumulate_votes(
@@ -150,9 +146,9 @@ def accumulate_votes(
 
     When the stream has more than one window and the classifier declares
     ``context_words = k`` with ``2k < W`` and accepts whole windows, the
-    votes come from :func:`_shared_interior_votes`.  Otherwise every
-    window is classified in full, its calls announced up front.  The
-    table is the same either way.
+    votes come from :func:`_shared_interior_votes`, which announces no
+    call.  Otherwise every window is classified in full, its calls
+    announced up front.  The table is the same either way.
     """
     votes = VoteTable.zeros(len(stream))
     wins = windows(stream, cfg)
@@ -163,8 +159,8 @@ def accumulate_votes(
         if k and 2 * k < w and (limit is None or limit >= w):
             _shared_interior_votes(votes, wins, classifier, w, k)
             return votes
-    for at, labels in _classify_windows(classifier, wins, w):
-        votes.add_window(at, labels)
+    for at, chunk in _announced_calls(classifier, wins, w):
+        votes.add_window(at, _classify(classifier, chunk, at))
     return votes
 
 
@@ -191,13 +187,13 @@ def _shared_interior_votes(
         stop = s + w - k
         next_inner = wins[i + 1].start + k if i + 1 < len(wins) else n
         if first_unknown < stop and next_inner > first_unknown:
-            labels = classify_chunked(classifier, words, w, s)
+            labels = _classify(classifier, words, s)
             votes.add_window(s, labels)
             inner[first_unknown:stop] = labels[first_unknown - s : stop - s]
             known = stop
         else:
-            head = classify_chunked(classifier, words[: 2 * k], w, s)
-            tail = classify_chunked(classifier, words[-2 * k :], w, stop - k)
+            head = _classify(classifier, words[: 2 * k], s)
+            tail = _classify(classifier, words[-2 * k :], stop - k)
             votes.add_window(s, head[:k])
             votes.add_window(stop, tail[k:])
             shared[s + k] += 1

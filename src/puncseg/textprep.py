@@ -94,9 +94,9 @@ class TruecaseModel:
 
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
 
-    def observe(self, form: str, n: int = 1) -> None:
+    def observe(self, form: str) -> None:
         forms = self.counts.setdefault(form.casefold(), {})
-        forms[form] = forms.get(form, 0) + n
+        forms[form] = forms.get(form, 0) + 1
 
     def best_form(self, key: str) -> str | None:
         """Most frequent form for the key; frequency ties go to the smallest form."""
@@ -105,16 +105,6 @@ class TruecaseModel:
             return None
         top = max(forms.values())
         return min(form for form, n in forms.items() if n == top)
-
-    def as_table(self) -> dict[str, str]:
-        return {key: self.best_form(key) for key in self.counts}
-
-    def merge(self, other: "TruecaseModel") -> None:
-        """Fold another model's counts into this one (associative, for sharded counting)."""
-        for key, forms in other.counts.items():
-            mine = self.counts.setdefault(key, {})
-            for form, n in forms.items():
-                mine[form] = mine.get(form, 0) + n
 
     def save(self, path) -> None:
         """Persist as TSV ``<key>\\t<form>\\t<count>``, sorted by key."""
@@ -172,7 +162,6 @@ def truecase(sentence: list[str], model: TruecaseModel) -> list[str]:
 
 def extract_labels(
     sentences: Iterable[list[str]],
-    mapping: dict[str, PunctLabel | None] | None = None,
     *,
     source_id: str | None = None,
 ) -> SeppDocument:
@@ -185,8 +174,6 @@ def extract_labels(
     word before it is dropped.  The eos flag is set on full stops and on
     sentence-final words that carry some mark.
     """
-    if mapping is None:
-        mapping = DEFAULT_PUNCT_MAP
     tokens: list[LabeledToken] = []
     for sent_no, sent in enumerate(sentences):
         words: list[str] = []
@@ -196,7 +183,7 @@ def extract_labels(
                 if not words:
                     continue
                 if labels[-1] is PunctLabel.NONE:
-                    mapped = mapping.get(tok)
+                    mapped = DEFAULT_PUNCT_MAP.get(tok)
                     if mapped is not None:
                         labels[-1] = mapped
             else:

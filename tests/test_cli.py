@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from corpora import template_corpus
-from puncseg.cli import main
+from puncseg.cli import build_parser, main, resolve_settings
 from puncseg.sepp import (
     LabeledToken,
     PunctLabel,
@@ -494,6 +494,85 @@ def test_config_file_unknown_key_fails(tmp_path, capsys, copernicus_files):
     assert code == 1
     assert "CONFIG" in err
     assert "windows" in err
+
+
+@pytest.mark.parametrize(
+    "key,raw,value",
+    [
+        ("window", "7", 7),
+        ("stride", "3", 3),
+        ("theta", "0.25", 0.25),
+        ("segmenters", "?", "?"),
+        ("pooling", "pooled", "pooled"),
+        ("classifier", "builtin:m.bin", "builtin:m.bin"),
+        ("seed", "5", 5),
+    ],
+)
+def test_flag_and_config_line_resolve_to_the_same_value(tmp_path, key, raw, value):
+    cfg = tmp_path / "seg.cfg"
+    cfg.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    parser = build_parser()
+    by_flag = resolve_settings(parser.parse_args(["segment", "in.txt", f"--{key}", raw]))
+    by_file = resolve_settings(parser.parse_args(["segment", "in.txt", "--config", str(cfg)]))
+    assert by_flag == by_file
+    assert by_flag[key] == value and type(by_flag[key]) is type(value)
+
+
+def test_pooling_flag_outside_its_choices_is_an_argparse_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["segment", str(tmp_path / "in.txt"), "--pooling", "bogus"])
+    assert exc_info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_pooling_config_line_outside_its_choices_is_a_config_error(tmp_path, capsys):
+    stream = tmp_path / "stream.txt"
+    stream.write_text("een twee drie\n", encoding="utf-8")
+    cfg = tmp_path / "seg.cfg"
+    cfg.write_text("pooling = bogus\n", encoding="utf-8")
+    code, out, err = run(capsys, "segment", str(stream), "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [CONFIG]") and "bogus" in err
+
+
+SEGMENT_HELP = """\
+usage: puncseg segment [-h] [--out OUT] [--emit-sepp EMIT_SEPP]
+                       [--window WINDOW] [--stride STRIDE] [--theta THETA]
+                       [--segmenters SEGMENTERS]
+                       [--pooling {per_class,pooled}]
+                       [--classifier CLASSIFIER] [--seed SEED]
+                       [--config CONFIG]
+                       input
+
+positional arguments:
+  input
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT
+  --emit-sepp EMIT_SEPP
+                        also write predicted labels as SEPP
+  --window WINDOW       sliding window size in words
+  --stride STRIDE       window stride in words
+  --theta THETA         vote-ratio acceptance threshold
+  --segmenters SEGMENTERS
+                        segmenting label characters, e.g. '.' or '.?'
+  --pooling {per_class,pooled}
+                        vote pooling mode
+  --classifier CLASSIFIER
+                        builtin:<model path> | external:<command> |
+                        replay:<sepp path>
+  --seed SEED           RNG seed
+  --config CONFIG       key = value settings file
+"""
+
+
+def test_segment_help_golden_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["segment", "--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out == SEGMENT_HELP
 
 
 def test_missing_classifier_fails(tmp_path, capsys, copernicus_files):

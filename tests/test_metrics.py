@@ -312,13 +312,6 @@ def test_summarize_matches_numpy_oracle():
     assert s.ci_high == ordered[974]
 
 
-def test_summarize_sample_stddev_switch():
-    scores = [0.1, 0.4, 0.7]
-    pop = summarize(scores).stddev
-    samp = summarize(scores, sample_stddev=True).stddev
-    assert samp > pop
-
-
 def test_summarize_invariant_under_permutation():
     rng = random.Random(5)
     scores = [rng.random() for _ in range(101)]

@@ -534,9 +534,10 @@ class Announcing:
 
     name = "announcing"
 
-    def __init__(self, inner, max_window_words=None):
+    def __init__(self, inner, max_window_words=None, context_words=None):
         self.inner = inner
         self.max_window_words = max_window_words
+        self.context_words = context_words
         self.announced = []
         self.asked = []
 
@@ -568,3 +569,65 @@ def test_classify_chunked_announces_its_chunks_once(trained):
     assert announcing.announced == [chunks]
     assert announcing.asked == chunks
     assert labels == [label for chunk in chunks for label in trained.classify(chunk)]
+
+
+def test_window_invariant_path_calls_classify_directly_and_announces_nothing(trained):
+    stream = _random_stream(random.Random(12), 300)
+    cfg = SegmenterConfig(window_words=40, stride=1)
+    k = trained.context_words
+    announcing = Announcing(trained, context_words=k)
+    votes = accumulate_votes(stream, announcing, cfg)
+    assert announcing.announced == []
+    lengths = [len(words) for words in announcing.asked]
+    assert set(lengths) == {2 * k, cfg.window_words}
+    full = lengths.count(cfg.window_words)
+    n_windows = len(stream) - cfg.window_words + 1
+    assert len(lengths) == full + 2 * (n_windows - full)  # one call per head, tail or full window
+    assert votes.counts == accumulate_votes(stream, Counting(trained), cfg).counts
+
+
+class Faulty:
+    """Declares ``context_words = 2``; raises on one word or answers one call short.
+
+    ``short`` names the first word of the ``2k``-word calls to answer with
+    one label too few.
+    """
+
+    name = "faulty"
+    max_window_words = None
+    context_words = 2
+
+    def __init__(self, bad=None, short=None):
+        self.bad = bad
+        self.short = short
+        self.raised = []
+
+    def classify(self, window):
+        if self.bad in window:
+            self.raised.append(ValueError(f"cannot label {self.bad}"))
+            raise self.raised[-1]
+        if len(window) == 2 * self.context_words and window[0] == self.short:
+            return [N] * (len(window) - 1)
+        return [N] * len(window)
+
+
+@pytest.mark.parametrize(
+    "faulty,window_start",
+    [
+        (Faulty(bad="w3"), 0),  # first full window
+        (Faulty(bad="w12"), 9),  # tail call of window 1
+        (Faulty(bad="w27"), 16),  # full window 16; tail calls reach w26
+        (Faulty(short="w1"), 1),  # head call of window 1
+        (Faulty(short="w9"), 9),  # tail call of window 1
+    ],
+)
+def test_window_invariant_path_names_the_failing_call(faulty, window_start):
+    # W=12, k=2 on 40 words: windows 0, 8, 16, 24 are classified in full,
+    # every other window in its 4-word head and tail calls.
+    with pytest.raises(WindowClassifyError) as exc_info:
+        accumulate_votes(_stream(40), faulty, SegmenterConfig(window_words=12))
+    assert exc_info.value.window_start == window_start
+    if faulty.bad is None:
+        assert exc_info.value.__cause__ is None
+    else:
+        assert exc_info.value.__cause__ is faulty.raised[-1]
