@@ -22,6 +22,7 @@ import subprocess
 import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -37,6 +38,11 @@ from .sepp import LABEL_BY_CHAR, PunctLabel
 #: 4, 8 and 16, 8 gave the best median ``segment_external`` throughput on 2
 #: CPUs, all three within run-to-run noise of each other (see CHANGES.md).
 _IN_FLIGHT = 8
+
+#: Words known to cross the protocol: each distinct word is checked once,
+#: not once per window that covers it.  Bounded like the feature-id memo.
+_CROSSING_MAX = 1 << 16
+_CROSSING: set[str] = set()
 
 
 @dataclass(frozen=True)
@@ -100,10 +106,11 @@ class ExternalClassifier:
         try:
             proc.kill()
             proc.wait(timeout=5)
-        except OSError:
+        except (OSError, subprocess.TimeoutExpired):
             pass
-        proc.stdout.close()
-        proc.stdin.close()
+        finally:
+            proc.stdout.close()
+            proc.stdin.close()
 
     def _write(self) -> None:
         """Write what the child's stdin pipe takes now of the queued request bytes."""
@@ -216,15 +223,23 @@ def _request(window: Sequence[str]) -> bytes:
     """The request line for ``window``.
 
     EmptyWindowError when it has no words, ValueError when a word cannot
-    cross the protocol.
+    cross the protocol.  Only words not yet in ``_CROSSING`` are checked,
+    and a window's words join it only once its request is encoded.
     """
     if not window:
         raise EmptyWindowError("classify needs at least one word")
     joined = " ".join(window)
-    if joined.split() != list(window):
-        bad = next(word for word in window if word.split() != [word])
-        raise ValueError(f"word {bad!r} cannot cross the line protocol")
-    return (joined + "\n").encode("utf-8")
+    new = () if _CROSSING.issuperset(window) else list(filterfalse(_CROSSING.__contains__, window))
+    for word in new:
+        if word.split() != [word]:
+            raise ValueError(f"word {word!r} cannot cross the line protocol")
+    request = (joined + "\n").encode("utf-8")
+    if new:
+        if len(_CROSSING) + len(new) > _CROSSING_MAX:
+            _CROSSING.clear()
+        if len(new) <= _CROSSING_MAX:
+            _CROSSING.update(new)
+    return request
 
 
 def _parse_response(line: bytes, expected: int) -> list[PunctLabel]:

@@ -502,8 +502,8 @@ class _Unannounced:
         return self._inner.classify(window)
 
 
-@pytest.mark.parametrize("bad_word", ["twee woorden", "", "nieuwe\nregel"])
-def test_word_that_cannot_cross_fails_at_its_own_window_when_announced(tmp_path, bad_word):
+def _failures_at_bad_word(tmp_path, bad_word):
+    """(window_start, cause type) of segmenting with ``bad_word`` at 17, announced and not."""
     cmd = _stub(tmp_path, "first_letter", _FIRST_LETTER)
     stream = _stream(30)
     stream[17] = bad_word
@@ -515,7 +515,20 @@ def test_word_that_cannot_cross_fails_at_its_own_window_when_announced(tmp_path,
                 segment(stream, wrapped, cfg)
             failures.append((info.value.window_start, type(info.value.__cause__)))
         assert clf.classify(["p", "q"]) == [P, N]
+    return failures
+
+
+@pytest.mark.parametrize("bad_word", ["twee woorden", "", "nieuwe\nregel"])
+def test_word_that_cannot_cross_fails_at_its_own_window_when_announced(tmp_path, bad_word):
+    failures = _failures_at_bad_word(tmp_path, bad_word)
     assert failures == [(13, ValueError)] * 2  # rejected before it was sent
+
+
+def test_word_that_cannot_be_encoded_fails_at_its_own_window(tmp_path):
+    # A lone surrogate passes str.split() but has no UTF-8 form; the
+    # UnicodeEncodeError is a ValueError, as for any word that cannot cross.
+    failures = _failures_at_bad_word(tmp_path, "\ud800")
+    assert failures == [(13, UnicodeEncodeError)] * 2
 
 
 def test_classify_chunked_announces_its_chunks(tmp_path):
@@ -538,3 +551,82 @@ def test_close_with_requests_in_flight_leaves_no_open_fds(tmp_path):
     clf.close()
     gc.collect()
     assert _open_fds() == fds_before
+
+
+def test_kill_closes_both_pipes_when_the_child_outlives_its_wait(tmp_path):
+    cmd = _stub(tmp_path, "first_letter", _FIRST_LETTER)
+    clf = ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10))
+    wins = [[f"w{i}"] for i in range(20)]
+    clf.expect(wins)
+    assert clf.classify(wins[0]) == [N]
+    proc = clf._proc
+
+    def wait(timeout=None):
+        raise external.subprocess.TimeoutExpired(proc.args, timeout)
+
+    proc.wait = wait
+    clf.close()
+    assert proc.stdin.closed and proc.stdout.closed
+    assert clf._proc is None and not clf._sent and not clf._ahead
+    del proc.wait
+    proc.wait(timeout=5)  # reap the killed child
+
+
+# The crossing memo: each distinct word is checked once, in a bounded set.
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    memo = set()
+    monkeypatch.setattr(external, "_CROSSING", memo)
+    return memo
+
+
+def test_memo_never_exceeds_its_bound_and_labels_stay_right(tmp_path, monkeypatch, fresh_memo):
+    monkeypatch.setattr(external, "_CROSSING_MAX", 7)
+    sizes = []
+    real = external._request
+
+    def request(window):
+        line = real(window)
+        sizes.append(len(fresh_memo))
+        return line
+
+    monkeypatch.setattr(external, "_request", request)
+    cmd = _stub(tmp_path, "first_letter", _FIRST_LETTER)
+    stream = _stream(60)
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
+        assert segment(stream, clf, SegmenterConfig(window_words=5)).labels == _rule(stream)
+        long_window = _stream(10)  # more distinct words than the memo holds
+        assert clf.classify(long_window) == _rule(long_window)
+    assert max(sizes) == 7  # filled to its bound, never past it
+
+
+@pytest.mark.parametrize("bad_word", ["twee woorden", "\ud800"])
+def test_rejected_word_is_never_memoised(echo_period, fresh_memo, bad_word):
+    error = ValueError if bad_word.split() != [bad_word] else UnicodeEncodeError
+    with ExternalClassifier(ExternalAdapterConfig(echo_period, timeout=10)) as clf:
+        for _ in range(2):
+            with pytest.raises(error):
+                clf.classify(["goed", bad_word])
+            assert bad_word not in fresh_memo
+        windows = [["een"], ["twee", bad_word], ["drie"]]
+        clf.expect(windows)
+        assert clf.classify(windows[0]) == [P]
+        with pytest.raises(error):
+            clf.classify(windows[1])
+        assert bad_word not in fresh_memo
+        assert clf.classify(windows[2]) == [P]
+
+
+def test_request_bytes_do_not_depend_on_the_memo(fresh_memo):
+    windows = [
+        ["één", "café", "x"],  # cold
+        ["café", "naïef", "x", "y"],  # partly known
+        ["x", "één", "naïef"],  # fully known
+    ]
+    known = [0, 2, 3]
+    for window, before in zip(windows, known):
+        assert sum(word in fresh_memo for word in window) == before
+        assert external._request(window) == (" ".join(window) + "\n").encode("utf-8")
+    assert fresh_memo == {"één", "café", "naïef", "x", "y"}
