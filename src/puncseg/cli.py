@@ -80,10 +80,10 @@ def load_config_file(path) -> dict:
     return values
 
 
-def resolve_settings(args: argparse.Namespace, config_path=None) -> dict:
+def resolve_settings(args: argparse.Namespace) -> dict:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
     merged = {key: default for key, (_, default, _) in _SHARED.items()}
-    path = config_path if config_path is not None else getattr(args, "config", None)
+    path = getattr(args, "config", None)
     if path:
         merged.update(load_config_file(path))
     for key in _SHARED:
@@ -178,16 +178,18 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     sentences = [textprep.tokenize(line) for line in lines]
 
     model_path = args.truecase_model
-    if model_path and os.path.exists(model_path):
-        model = textprep.TruecaseModel.load(model_path)
-    else:
+    trained = not (model_path and os.path.exists(model_path))
+    if trained:
         model = textprep.train_truecaser(sentences)
-        if model_path:
-            model.save(model_path)
+    else:
+        model = textprep.TruecaseModel.load(model_path)
     sentences = [textprep.truecase(sent, model) for sent in sentences]
 
     doc = textprep.extract_labels(sentences, source_id=str(args.input))
-    atomic_write(args.out, write_sepp(doc))
+    text = write_sepp(doc)  # before any output: a word SEPP cannot hold fails here
+    if model_path and trained:
+        model.save(model_path)
+    atomic_write(args.out, text)
     print(f"sentences: {len(sentences)}", file=sys.stderr)
     print(f"tokens: {len(doc)}", file=sys.stderr)
     return 0
@@ -198,8 +200,10 @@ def cmd_split(args: argparse.Namespace) -> int:
     docs = [parse_sepp_file(p) for p in args.inputs]
     spec = textprep.SplitSpec(train_fraction=args.fraction, seed=args.seed or 0, unit=args.unit)
     train, test = textprep.split_corpus(docs, spec)
-    atomic_write(args.train_out, "".join(write_sepp(d) for d in train))
-    atomic_write(args.test_out, "".join(write_sepp(d) for d in test))
+    train_rows = "".join(write_sepp(d) for d in train)
+    test_rows = "".join(write_sepp(d) for d in test)  # both built before either is written
+    atomic_write(args.train_out, train_rows)
+    atomic_write(args.test_out, test_rows)
     print(f"train units: {len(train)}, test units: {len(test)}", file=sys.stderr)
     return 0
 
@@ -235,12 +239,15 @@ def cmd_segment(args: argparse.Namespace) -> int:
     with make_classifier(settings["classifier"]) as classifier:
         words = [word for line in read_lines(args.input) for word in line.split()]
         result = segmenter.segment(words, classifier, cfg)
-    _emit(result.to_text(), args.out)
-    if args.emit_sepp:
+    text = result.to_text()
+    if args.emit_sepp:  # built before any output: a word SEPP cannot hold fails here
         pred = _predictions_document(
             result.words, result.labels, set(result.boundaries), source_id=str(args.input)
         )
-        atomic_write(args.emit_sepp, write_sepp(pred))
+        rows = write_sepp(pred)
+    _emit(text, args.out)
+    if args.emit_sepp:
+        atomic_write(args.emit_sepp, rows)
     return 0
 
 
@@ -332,9 +339,8 @@ def cmd_significance(args: argparse.Namespace) -> int:
     if len(blocks) < 2:
         raise TooShortError(f"only {len(blocks)} block(s); the paired test needs at least 2")
 
-    empty = argparse.Namespace()
-    settings_a = resolve_settings(empty, config_path=args.config_a)
-    settings_b = resolve_settings(empty, config_path=args.config_b)
+    settings_a = resolve_settings(argparse.Namespace(config=args.config_a))
+    settings_b = resolve_settings(argparse.Namespace(config=args.config_b))
     scores_a = _condition_scores(blocks, settings_a)
     scores_b = _condition_scores(blocks, settings_b)
 

@@ -117,6 +117,12 @@ class ConfigError(ToolkitError):
     code = "CONFIG"
 
 
+class UnwritableWordError(ToolkitError, ValueError):
+    """A word that a SEPP file cannot hold as written."""
+
+    code = "UNWRITABLE_WORD"
+
+
 class EncodingError(ToolkitError):
     """An input file holds bytes that are not UTF-8."""
 

@@ -39,6 +39,9 @@ from .sepp import LABEL_BY_CHAR, PunctLabel
 #: CPUs, all three within run-to-run noise of each other (see CHANGES.md).
 _IN_FLIGHT = 8
 
+#: Child restarts one ``classify`` call may make before it gives up.
+_MAX_RESTARTS = 1
+
 #: Words known to cross the protocol: each distinct word is checked once,
 #: not once per window that covers it.  Bounded like the feature-id memo.
 _CROSSING_MAX = 1 << 16
@@ -51,14 +54,11 @@ class ExternalAdapterConfig:
 
     command: str
     timeout: float = 30.0
-    max_restarts: int = 1
     max_window_words: int | None = 200
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
-        if self.max_restarts < 0:
-            raise ValueError("max_restarts must be non-negative")
         if self.max_window_words is not None and self.max_window_words < 1:
             raise ValueError("max_window_words must be at least 1")
 
@@ -76,15 +76,12 @@ class ExternalClassifier:
 
     def __init__(self, config: ExternalAdapterConfig):
         self.config = config
+        self.max_window_words = config.max_window_words
         self._proc: subprocess.Popen | None = None
         self._sent: deque[tuple[Sequence[str], bytes]] = deque()  # requests awaiting replies
         self._ahead: deque[Sequence[str]] = deque()  # announced windows not yet sent
         self._out = b""  # request bytes the child has not taken yet
         self._pending = b""  # what the child wrote past the last reply taken
-
-    @property
-    def max_window_words(self) -> int | None:
-        return self.config.max_window_words
 
     def _spawn(self) -> None:
         """Start a child and queue every request still awaiting a reply, in order."""
@@ -206,7 +203,7 @@ class ExternalClassifier:
                 break
             self._kill()
             restarts += 1
-            if restarts > self.config.max_restarts:
+            if restarts > _MAX_RESTARTS:
                 raise ProcessDiedError(
                     f"child died {restarts} time(s); restart budget exhausted"
                 )

@@ -219,17 +219,17 @@ def summarize(scores: Sequence[float]) -> DistributionSummary:
 def paired_significance(
     scores_a: Sequence[float],
     scores_b: Sequence[float],
-    permutations: int | None = 10000,
+    permutations: int = 10000,
     seed: int = 0,
 ) -> float:
     """Two-sided paired sign-flip permutation test on per-file differences.
 
-    The statistic is the mean difference.  When ``permutations`` is None or
-    at least 2**n the test enumerates all sign patterns exactly and returns
+    The statistic is the mean difference.  When ``permutations`` is at
+    least 2**n the test enumerates all sign patterns exactly and returns
     count / 2**n; otherwise it samples with the seeded RNG and returns
     (1 + count) / (1 + permutations).
     """
-    if permutations is not None and permutations < 1:
+    if permutations < 1:
         raise OutOfRangeError(f"permutations must be at least 1, got {permutations}")
     if len(scores_a) != len(scores_b):
         raise LengthMismatchError(
@@ -241,7 +241,7 @@ def paired_significance(
     diffs = [a - b for a, b in zip(scores_a, scores_b)]
     observed = abs(sum(diffs) / n)
 
-    if permutations is None or 2**n <= permutations:
+    if 2**n <= permutations:
         count = 0
         for signs in itertools.product((1.0, -1.0), repeat=n):
             stat = abs(sum(d * s for d, s in zip(diffs, signs)) / n)
@@ -258,23 +258,24 @@ def paired_significance(
     return (1 + count) / (1 + permutations)
 
 
+def _report_rows(rep: EvalReport) -> list[tuple]:
+    """(name, precision, recall, f1, support) per class, then accuracy, macro and weighted."""
+    return [
+        *((label.char, *astuple(m)) for label, m in rep.per_class.items()),
+        ("accuracy", "", "", rep.accuracy, rep.total),
+        ("macro avg", rep.macro_precision, rep.macro_recall, rep.macro_f1, rep.total),
+        ("weighted avg", rep.weighted_precision, rep.weighted_recall, rep.weighted_f1, rep.total),
+    ]
+
+
 def format_report(rep: EvalReport) -> str:
     """Human-readable aligned table in the usual classification-report shape."""
-    lines = [f"{'class':>12}  {'precision':>9}  {'recall':>9}  {'f1-score':>9}  {'support':>9}"]
-    for label, m in rep.per_class.items():
-        lines.append(
-            f"{label.char:>12}  {m.precision:>9.6f}  {m.recall:>9.6f}  {m.f1:>9.6f}  {m.support:>9}"
-        )
-    lines.append("")
-    lines.append(f"{'accuracy':>12}  {'':>9}  {'':>9}  {rep.accuracy:>9.6f}  {rep.total:>9}")
-    lines.append(
-        f"{'macro avg':>12}  {rep.macro_precision:>9.6f}  {rep.macro_recall:>9.6f}"
-        f"  {rep.macro_f1:>9.6f}  {rep.total:>9}"
-    )
-    lines.append(
-        f"{'weighted avg':>12}  {rep.weighted_precision:>9.6f}  {rep.weighted_recall:>9.6f}"
-        f"  {rep.weighted_f1:>9.6f}  {rep.total:>9}"
-    )
+    header = ("class", "precision", "recall", "f1-score", "support")
+    lines = []
+    for name, *cells in [header, *_report_rows(rep)]:
+        cells = [f"{v:>9.6f}" if isinstance(v, float) else f"{v:>9}" for v in cells]
+        lines.append("  ".join([f"{name:>12}", *cells]))
+    lines.insert(-3, "")  # a blank line before the three aggregate rows
     return "\n".join(lines) + "\n"
 
 
@@ -287,14 +288,7 @@ def tsv(rows: Iterable[Iterable]) -> str:
 
 
 def report_tsv(rep: EvalReport) -> str:
-    rows: list[tuple] = [("class", "precision", "recall", "f1", "support")]
-    rows += [(label.char, *astuple(m)) for label, m in rep.per_class.items()]
-    rows += [
-        ("accuracy", "", "", rep.accuracy, rep.total),
-        ("macro avg", rep.macro_precision, rep.macro_recall, rep.macro_f1, rep.total),
-        ("weighted avg", rep.weighted_precision, rep.weighted_recall, rep.weighted_f1, rep.total),
-    ]
-    return tsv(rows)
+    return tsv([("class", "precision", "recall", "f1", "support"), *_report_rows(rep)])
 
 
 def confusion_tsv(cm: ConfusionMatrix) -> str:

@@ -257,29 +257,14 @@ class SegmentedText:
     labels: list[PunctLabel]
     boundaries: list[int] = field(default_factory=list)
 
-    def _spans(self) -> list[tuple[int, int]]:
-        """(start, stop) of each segment, one per boundary plus any open tail."""
-        spans: list[tuple[int, int]] = []
-        start = 0
-        for b in self.boundaries:
-            spans.append((start, b + 1))
-            start = b + 1
-        if start < len(self.words):
-            spans.append((start, len(self.words)))
-        return spans
-
     def to_text(self) -> str:
         """One segment per line; accepted marks attach to their word without a space."""
-        words = self.words
-        labels = self.labels
-        lines = [
-            " ".join(
-                words[i] + ("" if labels[i] is PunctLabel.NONE else labels[i].char)
-                for i in range(a, b)
-            )
-            for a, b in self._spans()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        none = PunctLabel.NONE  # a local: reading the enum member per word costs more
+        ends = {*self.boundaries, len(self.words) - 1}
+        return "".join([
+            word + ("" if label is none else label.char) + ("\n" if i in ends else " ")
+            for i, (word, label) in enumerate(zip(self.words, self.labels))
+        ])
 
 
 def segment(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import EncodingError, SeppConsistencyWarning, SeppParseError
+from .errors import EncodingError, SeppConsistencyWarning, SeppParseError, UnwritableWordError
 
 
 class PunctLabel(enum.Enum):
@@ -192,11 +192,11 @@ def write_sepp(doc: SeppDocument) -> str:
     parts: list[str] = []
     for tok in doc.tokens:
         if not tok.word or any(ch in tok.word for ch in "\t\n\r"):
-            raise ValueError(f"unwritable word {tok.word!r}")
+            raise UnwritableWordError(f"unwritable word {tok.word!r}")
         parts.append(f"{tok.word}\t{_render_flag(tok)}\t{tok.label.char}\n")
     if parts and parts[0].startswith("﻿"):
         # the format carries no BOM, so the output must not begin with one
-        raise ValueError("document would begin with a byte-order mark")
+        raise UnwritableWordError("document would begin with a byte-order mark")
     return "".join(parts)
 
 

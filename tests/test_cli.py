@@ -641,12 +641,30 @@ def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
          "epochs 4294967296"),
         (["train", "{gold}", "--out", "{tmp}/m.bin", "--config", "{seed_cfg}"],
          "seed 9223372036854775808"),
+        (["classify", "{gold}", "--config", "{no_eq_cfg}"], "no_eq.cfg:2: expected 'key = value'"),
+        (["classify", "{gold}", "--config", "{abc_cfg}"], "abc.cfg:1: bad value for window"),
+        (["eval-boundaries", "{gold}", "{gold}", "--segmenters", "x"],
+         "unknown segmenter character 'x'"),
+        (["eval-boundaries", "{gold}", "{gold}", "--segmenters", "0"], "0 cannot be a segmenter"),
+        (["eval-boundaries", "{gold}", "{gold}", "--segmenters", ""],
+         "segmenter set must not be empty"),
+        (["classify", "{gold}", "--classifier", "builtin"],
+         "classifier spec 'builtin' is not kind:argument"),
+        (["classify", "{gold}", "--classifier", "foo:bar"], "unknown classifier kind 'foo'"),
+        (["eval-labels", "{gold}", "{prefix}"], "[WORD_MISMATCH] word columns diverge at token 5"),
+        (["sweep", "{gold}", "--thetas", "abc", "--classifier", "replay:{tmp}/absent"],
+         "bad theta value"),
+        (["significance", "{gold}", "--config-a", "{cfg}", "--config-b", "{cfg}",
+          "--block-size", "8"], "only 1 block(s)"),
     ],
     ids=[
         "split-fraction", "train-window", "train-epochs", "classify-window", "block-size",
         "permutations-minus-1", "permutations-minus-2", "config-window", "truecase-line",
         "sweep-theta-above", "sweep-theta-nan", "sweep-theta-below", "sweep-theta-inf",
         "train-seed-above", "train-seed-below", "train-epochs-above", "config-seed",
+        "config-no-equals", "config-window-abc", "segmenters-unknown", "segmenters-none",
+        "segmenters-empty", "classifier-no-argument", "classifier-unknown-kind",
+        "pred-prefix-of-gold", "sweep-theta-abc", "significance-one-block",
     ],
 )
 def test_out_of_range_arguments_are_coded_errors(tmp_path, capsys, argv, named):
@@ -661,8 +679,16 @@ def test_out_of_range_arguments_are_coded_errors(tmp_path, capsys, argv, named):
     truecase.write_text("de\tde\t3\nman zonder tabs\n", encoding="utf-8")
     seed_cfg = tmp_path / "seed.cfg"
     seed_cfg.write_text("seed = 9223372036854775808\n", encoding="utf-8")
+    no_eq_cfg = tmp_path / "no_eq.cfg"
+    no_eq_cfg.write_text("# a comment\nwindow 200\n", encoding="utf-8")
+    abc_cfg = tmp_path / "abc.cfg"
+    abc_cfg.write_text("window = abc\n", encoding="utf-8")
+    prefix = tmp_path / "prefix.tsv"
+    prefix.write_text("".join(gold.read_text(encoding="utf-8").splitlines(True)[:5]),
+                      encoding="utf-8")
     paths = {"tmp": tmp_path, "gold": gold, "cfg": cfg, "bad_cfg": bad_cfg, "raw": raw,
-             "truecase": truecase, "seed_cfg": seed_cfg}
+             "truecase": truecase, "seed_cfg": seed_cfg, "no_eq_cfg": no_eq_cfg,
+             "abc_cfg": abc_cfg, "prefix": prefix}
     before = sorted(os.listdir(tmp_path))
     code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert code == 1
@@ -949,3 +975,33 @@ def test_a_leading_byte_order_mark_changes_no_output(tmp_path, capsys, argv, bom
     plain = outputs(False)
     assert plain[0] or plain[1]
     assert outputs(True) == plain
+
+
+# Inputs whose first word keeps a U+FEFF after the one leading BOM each
+# reader drops: a SEPP file cannot begin with it, so no output is written.
+_BOM_LED_CASES = {
+    "segment-emit-sepp": (["segment", "{stream}", "--classifier", "replay:{pred}",
+                           "--emit-sepp", "{tmp}/new.tsv"], {"stream": 2, "pred": 3}),
+    "prepare-truecase-model": (["prepare", "{raw}", "--out", "{tmp}/out.tsv",
+                                "--truecase-model", "{tmp}/new.tsv"], {"raw": 2}),
+    "classify": (["classify", "{gold}", "--classifier", "replay:{gold}"], {"gold": 3}),
+    # seed 2 puts the first sentence in the test part, which is written second
+    "split-test-part": (["split", "{gold}", "--train-out", "{tmp}/a.tsv", "--test-out",
+                         "{tmp}/b.tsv", "--seed", "2"], {"gold": 3}),
+}
+
+
+@pytest.mark.parametrize("argv, boms", _BOM_LED_CASES.values(), ids=_BOM_LED_CASES.keys())
+def test_a_first_word_led_by_a_byte_order_mark_is_a_coded_error_with_no_output(
+    tmp_path, capsys, argv, boms
+):
+    paths = _reader_inputs(tmp_path)
+    for name, count in boms.items():
+        paths[name].write_bytes(b"\xef\xbb\xbf" * count + paths[name].read_bytes())
+    before = sorted(os.listdir(tmp_path))
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == 1
+    assert err.startswith("error: [")
+    assert "Traceback" not in err
+    assert out == ""
+    assert sorted(os.listdir(tmp_path)) == before

@@ -122,15 +122,17 @@ def test_timeout_raises(tmp_path):
             clf.classify(["a", "b"])
 
 
-def test_dead_child_exhausts_restart_budget(tmp_path):
+def test_dead_child_exhausts_restart_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(external, "_MAX_RESTARTS", 2)
     cmd = _stub(tmp_path, "dies", "import sys; sys.exit(3)")
-    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=5, max_restarts=2)) as clf:
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=5)) as clf:
         with pytest.raises(ProcessDiedError):
             clf.classify(["a"])
 
 
-def test_restart_resends_request(tmp_path):
+def test_restart_resends_request(tmp_path, monkeypatch):
     # Child answers one request per life; the second call needs a restart.
+    monkeypatch.setattr(external, "_MAX_RESTARTS", 1)
     marker = tmp_path / "lives"
     cmd = _stub(
         tmp_path,
@@ -143,7 +145,7 @@ def test_restart_resends_request(tmp_path):
         print(" ".join(["0"] * len(line.split())), flush=True)
         """,
     )
-    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10, max_restarts=1)) as clf:
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
         assert clf.classify(["een", "twee"]) == [N, N]
         assert clf.classify(["drie"]) == [N]
     assert marker.read_text() == "xx"
@@ -335,8 +337,6 @@ def test_words_with_spaces_rejected(echo_period):
 def test_config_validation():
     with pytest.raises(ValueError):
         ExternalAdapterConfig("cmd", timeout=0)
-    with pytest.raises(ValueError):
-        ExternalAdapterConfig("cmd", max_restarts=-1)
 
 
 @pytest.mark.parametrize("limit", [0, -3])
@@ -395,6 +395,63 @@ def test_child_that_stops_reading_times_out_on_a_large_request(tmp_path, monkeyp
         assert proc.stdin.closed and proc.stdout.closed
 
 
+# A request larger than the 64 KiB a pipe holds goes out in parts as the
+# child reads: 40,000 words make about 270 KB.  This child sleeps ``before``
+# seconds before it starts reading and before each answer, and ``after``
+# seconds after each answer.
+_ONE_AT_A_TIME = """
+    import sys, time
+    time.sleep({before})
+    for line in sys.stdin:
+        time.sleep({before})
+        print(" ".join("." if w.startswith("p") else "0" for w in line.split()), flush=True)
+        time.sleep({after})
+    """
+
+
+def test_request_larger_than_the_pipe_reaches_a_child_that_starts_reading_late(tmp_path):
+    cmd = _stub(tmp_path, "late_reader", _ONE_AT_A_TIME.format(before=0.2, after=0))
+    words = _stream(40_000)
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10, max_window_words=None)) as clf:
+        assert clf.classify(words) == _rule(words)
+
+
+def test_announced_call_that_starts_on_a_full_pipe_gets_its_labels(tmp_path):
+    # While the child works on the first request the adapter fills the pipe
+    # with the second, and the second call begins before the child reads on.
+    cmd = _stub(tmp_path, "one_at_a_time", _ONE_AT_A_TIME.format(before=0.2, after=0.2))
+    first = _stream(40_000)
+    second = [w + "x" for w in first]
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10, max_window_words=None)) as clf:
+        clf.expect([first, second])
+        assert clf.classify(first) == _rule(first)
+        assert clf.classify(second) == _rule(second)
+
+
+def test_child_that_closes_its_stdin_mid_request_is_restarted(tmp_path):
+    lives = tmp_path / "lives"
+    cmd = _stub(
+        tmp_path,
+        "closes_stdin",
+        f"""
+        import os, pathlib, sys, time
+        lives = pathlib.Path({str(lives)!r})
+        lives.write_text(lives.read_text() + "x" if lives.exists() else "x")
+        if lives.read_text() == "x":
+            os.read(0, 1 << 16)
+            os.close(0)
+            time.sleep(0.3)  # stdout stays open: the adapter's next write fails first
+            sys.exit(0)
+        for line in sys.stdin:
+            print(" ".join("." if w.startswith("p") else "0" for w in line.split()), flush=True)
+        """,
+    )
+    words = _stream(40_000)
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10, max_window_words=None)) as clf:
+        assert clf.classify(words) == _rule(words)
+    assert lives.read_text() == "xx"
+
+
 def test_child_reading_in_batches_gets_several_requests_per_batch(tmp_path):
     batches = tmp_path / "batches"
     cmd = _stub(
@@ -445,8 +502,9 @@ def test_windows_other_than_the_announced_ones_get_their_own_labels(tmp_path):
         assert clf.classify(["q", "p"]) == [N, P]
 
 
-def test_restarts_resend_unanswered_requests_in_order(tmp_path):
+def test_restarts_resend_unanswered_requests_in_order(tmp_path, monkeypatch):
     # Each life answers two requests and exits, with more requests in flight.
+    monkeypatch.setattr(external, "_MAX_RESTARTS", 1)
     answered = tmp_path / "answered"
     cmd = _stub(
         tmp_path,
@@ -461,7 +519,7 @@ def test_restarts_resend_unanswered_requests_in_order(tmp_path):
         """,
     )
     wins = [[f"w{i}", f"p{i}"] if i % 2 else [f"p{i}"] for i in range(11)]
-    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10, max_restarts=1)) as clf:
+    with ExternalClassifier(ExternalAdapterConfig(cmd, timeout=10)) as clf:
         clf.expect(wins)
         assert [clf.classify(w) for w in wins] == [_rule(w) for w in wins]
     assert answered.read_text().splitlines() == [" ".join(w) for w in wins]

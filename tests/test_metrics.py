@@ -344,21 +344,21 @@ def _enumerated_p(diffs):
 
 def test_paired_identical_scores_give_p_one():
     scores = [0.3, 0.5, 0.7, 0.2]
-    assert paired_significance(scores, scores, permutations=None) == 1.0
+    assert paired_significance(scores, scores, permutations=2 ** 4) == 1.0
     assert paired_significance(scores, scores, permutations=200, seed=0) == 1.0
 
 
 def test_paired_constant_shift_exhaustive():
     b = [0.1 * k for k in range(10)]
     a = [x + 1.0 for x in b]
-    p = paired_significance(a, b, permutations=None)
+    p = paired_significance(a, b, permutations=2 ** 10)
     assert p == 2 / 1024
 
 
 def test_paired_small_case_matches_enumeration():
     a = [0.6, 0.4, 0.5]
     b = [0.5, 0.5, 0.5]  # diffs +0.1, -0.1, 0
-    p = paired_significance(a, b, permutations=None)
+    p = paired_significance(a, b, permutations=2 ** 3)
     assert p == _enumerated_p([0.1 - 0.0, -0.1, 0.0])
     assert p == 1.0
 
@@ -369,7 +369,7 @@ def test_paired_exhaustive_matches_enumeration_on_random_cases():
         n = rng.randrange(2, 11)
         a = [rng.random() for _ in range(n)]
         b = [rng.random() for _ in range(n)]
-        p = paired_significance(a, b, permutations=None)
+        p = paired_significance(a, b, permutations=2 ** n)
         assert p == _enumerated_p([x - y for x, y in zip(a, b)])
 
 
