@@ -159,7 +159,7 @@ def _window_keys(window: Sequence[str]) -> list[tuple[str, str, str, str, str, b
 _ZERO_ROW = (0.0,) * N_LABELS
 
 
-def _scores(weights: dict[int, list[float]], ids: Iterable[int]) -> list[float]:
+def _scores(weights: dict[int, Sequence[float]], ids: Iterable[int]) -> list[float]:
     """Per-label sum of the weight rows of ``ids``, added in ``ids`` order.
 
     The chained ``map`` objects run when the list is built, still adding
@@ -178,7 +178,10 @@ class LinearModel:
     """Averaged linear per-token classifier over hashed features.
 
     Instances are immutable once built; a bounded context -> label cache
-    makes repeated sliding-window calls cheap.  A label reads words
+    makes repeated sliding-window calls cheap.  Each weight row is a
+    tuple of floats, which the cyclic garbage collector stops tracking,
+    so a model's rows neither add to a full collection's work nor bring
+    one on sooner.  A label reads words
     ``j-1 .. j+2``, the offset bucket capped at 4 and ``is_last``, so four
     words of context on each side decide it.
     """
@@ -187,7 +190,7 @@ class LinearModel:
     max_window_words: int | None = None
     context_words = 4
 
-    def __init__(self, weights: dict[int, list[float]], seed: int = 0, epochs: int = 0):
+    def __init__(self, weights: dict[int, tuple[float, ...]], seed: int = 0, epochs: int = 0):
         self.weights = weights
         self.seed = seed
         self.epochs = epochs
@@ -290,12 +293,12 @@ def train_reference(
                     update(fid, gold, 1.0, step)
                     update(fid, rival, -1.0, step)
 
-    averaged: dict[int, list[float]] = {}
+    averaged: dict[int, tuple[float, ...]] = {}
     if step:
         for fid, row in weights.items():
             tot = totals[fid]
             st = stamps[fid]
-            avg = [(tot[c] + row[c] * (step - st[c])) / step for c in range(N_LABELS)]
+            avg = tuple([(tot[c] + row[c] * (step - st[c])) / step for c in range(N_LABELS)])
             if any(avg):
                 averaged[fid] = avg
     return LinearModel(averaged, seed=seed, epochs=epochs)
@@ -368,14 +371,18 @@ def load_model(path) -> LinearModel:
     if len(body) != n_triples * _TRIPLE.size:
         raise CorruptModelError(f"weight section holds {len(body)} bytes for {n_triples} triples")
 
-    weights: dict[int, list[float]] = {}
+    weights: dict[int, tuple[float, ...]] = {}
+    open_fid, row = -1, []  # the row being filled: save_model writes a row's triples together
     for fid, c, w in _TRIPLE.iter_unpack(body):
         if fid >= FEATURE_SPACE or c >= N_LABELS:
             raise CorruptModelError(f"weight triple out of range: ({fid}, {c})")
-        row = weights.get(fid)
-        if row is None:
-            row = weights[fid] = [0.0] * N_LABELS
+        if fid != open_fid:
+            if row:
+                weights[open_fid] = tuple(row)
+            open_fid, row = fid, list(weights.get(fid, _ZERO_ROW))
         row[c] = w
+    if row:
+        weights[open_fid] = tuple(row)
     return LinearModel(weights, seed=seed, epochs=epochs)
 
 

@@ -23,7 +23,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AdapterTimeoutError,
@@ -79,7 +79,8 @@ class ExternalClassifier:
         self.max_window_words = config.max_window_words
         self._proc: subprocess.Popen | None = None
         self._sent: deque[tuple[Sequence[str], bytes]] = deque()  # requests awaiting replies
-        self._ahead: deque[Sequence[str]] = deque()  # announced windows not yet sent
+        self._ahead: Iterator[Sequence[str]] | None = None  # announced windows not yet read
+        self._next: Sequence[str] | None = None  # the announced window read but not yet sent
         self._out = b""  # request bytes the child has not taken yet
         self._pending = b""  # what the child wrote past the last reply taken
 
@@ -155,7 +156,7 @@ class ExternalClassifier:
     def close(self) -> None:
         self._kill()
         self._sent.clear()
-        self._ahead.clear()
+        self._drop_ahead()
 
     def __enter__(self) -> "ExternalClassifier":
         return self
@@ -167,29 +168,46 @@ class ExternalClassifier:
         self.close()
 
     def expect(self, windows: Iterable[Sequence[str]]) -> None:
-        """Announce that the next ``classify`` calls will be for ``windows``, in order."""
-        self._ahead = deque(windows)
+        """Announce that the next ``classify`` calls will be for ``windows``, in order.
+
+        ``windows`` is read lazily, no further than the requests in flight reach.
+        """
+        self._ahead = iter(windows)
+        self._next = None
+
+    def _peek(self) -> Sequence[str] | None:
+        """The next announced window not yet sent, read if need be; None when there is none."""
+        if self._next is None and self._ahead is not None:
+            self._next = next(self._ahead, None)
+            if self._next is None:
+                self._ahead = None
+        return self._next
+
+    def _drop_ahead(self) -> None:
+        """Forget the announced windows not yet sent, without reading the rest."""
+        self._ahead = self._next = None
 
     def classify(self, window: Sequence[str]) -> list[PunctLabel]:
-        sent, ahead = self._sent, self._ahead
+        sent = self._sent
         if not sent or sent[0][0] != window:
             request = _request(window)
             if sent:  # the requests in flight are for other windows
                 self._kill()
                 sent.clear()
-            if ahead and ahead[0] == window:
-                ahead.popleft()
+            if self._peek() == window:
+                self._next = None
             else:
-                ahead.clear()
+                self._drop_ahead()
             sent.append((window, request))
             self._out += request
-        while ahead and len(sent) < _IN_FLIGHT:
+        while len(sent) < _IN_FLIGHT and (ahead := self._peek()) is not None:
             try:
-                ahead_request = _request(ahead[0])
+                ahead_request = _request(ahead)
             except (EmptyWindowError, ValueError):  # left for its own call to reject
-                ahead.clear()
+                self._drop_ahead()
                 break
-            sent.append((ahead.popleft(), ahead_request))
+            self._next = None
+            sent.append((ahead, ahead_request))
             self._out += ahead_request
 
         restarts = 0

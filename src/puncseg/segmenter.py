@@ -16,7 +16,8 @@ is the same as when every window is classified in full.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from itertools import tee
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .classifier import LABELS, N_LABELS, Classifier
 from .errors import EmptyStreamError, WindowClassifyError
@@ -56,16 +57,41 @@ class Window(NamedTuple):
     words: list[str]
 
 
-def windows(stream: Sequence[str], cfg: SegmenterConfig) -> list[Window]:
-    """Enumerate window starts 0, stride, ... up to max(0, n - W)."""
+class _Windows(Sequence[Window]):
+    """The windows of ``stream`` starting at ``starts``, each sliced only when read."""
+
+    __slots__ = ("stream", "starts", "width")
+
+    def __init__(self, stream: list[str], starts: range, width: int):
+        self.stream = stream
+        self.starts = starts
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, i: int) -> Window:
+        return self._window(self.starts[i])
+
+    def __iter__(self) -> Iterator[Window]:
+        return map(self._window, self.starts)
+
+    def _window(self, start: int) -> Window:
+        return Window(start, self.stream[start : start + self.width])
+
+
+def windows(stream: Sequence[str], cfg: SegmenterConfig) -> Sequence[Window]:
+    """Enumerate window starts 0, stride, ... up to max(0, n - W).
+
+    The windows are sliced from the stream as they are read, so holding
+    them costs no more than holding the stream.
+    """
     if not stream:
         raise EmptyStreamError("cannot window an empty stream")
     n = len(stream)
     last = max(0, n - cfg.window_words)
-    return [
-        Window(start, list(stream[start : start + cfg.window_words]))
-        for start in range(0, last + 1, cfg.stride)
-    ]
+    words = stream if isinstance(stream, list) else list(stream)
+    return _Windows(words, range(0, last + 1, cfg.stride), cfg.window_words)
 
 
 @dataclass
@@ -97,29 +123,32 @@ def classify_chunked(
     classifier: Classifier, words: Sequence[str], window_words: int
 ) -> list[PunctLabel]:
     """Label ``words`` in calls of at most min(window_words, classifier limit) words."""
-    calls = _announced_calls(classifier, [Window(0, words)], window_words)
+    calls = _announced_calls(classifier, [Window(0, words)], len(words), window_words)
     return [label for at, chunk in calls for label in _classify(classifier, chunk, at)]
 
 
 def _announced_calls(
-    classifier: Classifier, wins: list[Window], window_words: int
-) -> list[Window]:
-    """The calls that label ``wins``, each at most min(window_words, classifier limit) words.
+    classifier: Classifier, wins: Iterable[Window], width: int, window_words: int
+) -> Iterable[Window]:
+    """The calls that label ``wins``, windows of ``width`` words, in order.
 
-    A classifier that can ``expect`` is told every call's words before the first.
+    Each call is at most min(window_words, classifier limit) words.  A
+    classifier that can ``expect`` is told every call's words in order
+    before the first, as an iterable it reads as far ahead as it needs.
     """
     limit = getattr(classifier, "max_window_words", None)
     size = window_words if limit is None else min(window_words, limit)
     calls = wins
-    if any(len(words) > size for _, words in wins):
-        calls = [
+    if width > size:
+        calls = (
             Window(s + off, words[off : off + size])
             for s, words in wins
             for off in range(0, len(words), size)
-        ]
+        )
     expect = getattr(classifier, "expect", None)
     if expect is not None:
-        expect([chunk for _, chunk in calls])
+        calls, announced = tee(calls)
+        expect(chunk for _, chunk in announced)
     return calls
 
 
@@ -148,7 +177,7 @@ def accumulate_votes(
     ``context_words = k`` with ``2k < W`` and accepts whole windows, the
     votes come from :func:`_shared_interior_votes`, which announces no
     call.  Otherwise every window is classified in full, its calls
-    announced up front.  The table is the same either way.
+    announced as they are cut.  The table is the same either way.
     """
     votes = VoteTable.zeros(len(stream))
     wins = windows(stream, cfg)
@@ -157,17 +186,17 @@ def accumulate_votes(
         k = getattr(classifier, "context_words", None)
         limit = getattr(classifier, "max_window_words", None)
         if k and 2 * k < w and (limit is None or limit >= w):
-            _shared_interior_votes(votes, wins, classifier, w, k)
+            _shared_interior_votes(votes, wins.stream, wins.starts, classifier, w, k)
             return votes
-    for at, chunk in _announced_calls(classifier, wins, w):
+    for at, chunk in _announced_calls(classifier, wins, min(len(stream), w), w):
         votes.add_window(at, _classify(classifier, chunk, at))
     return votes
 
 
 def _shared_interior_votes(
-    votes: VoteTable, wins: list[Window], classifier: Classifier, w: int, k: int
+    votes: VoteTable, stream: list[str], starts: range, classifier: Classifier, w: int, k: int
 ) -> None:
-    """Vote ``w``-word windows, classifying their interiors only where needed.
+    """Vote the ``w``-word windows at ``starts``, classifying their interiors only where needed.
 
     Each window's first ``k`` labels come from classifying its first
     ``2k`` words, and its last ``k`` from its last ``2k``.  The interior
@@ -176,24 +205,26 @@ def _shared_interior_votes(
     window is classified in full only when the next window's interior
     misses a word of its own that no earlier full window labelled.  Full
     windows vote all their labels; every other window adds one to a
-    difference array over its interior, applied once at the end.
+    difference array over its interior, applied once at the end.  Every
+    call's words are sliced from the stream as the call is made.
     """
     n = len(votes)
     inner: list[PunctLabel | None] = [None] * n  # each word's label in a window interior
     shared = [0] * (n + 1)  # difference array of interior votes still to cast
     known = 0  # interior labels are recorded for every word before this one
-    for i, (s, words) in enumerate(wins):
+    last, step = starts[-1], starts.step
+    for s in starts:
         first_unknown = max(known, s + k)
         stop = s + w - k
-        next_inner = wins[i + 1].start + k if i + 1 < len(wins) else n
+        next_inner = s + step + k if s < last else n
         if first_unknown < stop and next_inner > first_unknown:
-            labels = _classify(classifier, words, s)
+            labels = _classify(classifier, stream[s : s + w], s)
             votes.add_window(s, labels)
             inner[first_unknown:stop] = labels[first_unknown - s : stop - s]
             known = stop
         else:
-            head = _classify(classifier, words[: 2 * k], s)
-            tail = _classify(classifier, words[-2 * k :], stop - k)
+            head = _classify(classifier, stream[s : s + 2 * k], s)
+            tail = _classify(classifier, stream[stop - k : s + w], stop - k)
             votes.add_window(s, head[:k])
             votes.add_window(stop, tail[k:])
             shared[s + k] += 1

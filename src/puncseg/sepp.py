@@ -47,6 +47,9 @@ class PunctLabel(enum.Enum):
 for _index, _label in enumerate(PunctLabel):
     _label.index = _index
 
+# Module-level names: reading a member off the enum class per token is slow.
+_PERIOD = PunctLabel.PERIOD
+_NONE = PunctLabel.NONE
 
 #: Each label by its serialized character.
 LABEL_BY_CHAR: dict[str, PunctLabel] = {label.value: label for label in PunctLabel}
@@ -155,9 +158,7 @@ def parse_sepp(
                 "BAD_LABEL", line_no, f"unknown label {label_ch!r}"
             ) from None
         eos = flag == "1"
-        inconsistent = (label is PunctLabel.PERIOD and not eos) or (
-            label is PunctLabel.NONE and eos
-        )
+        inconsistent = (label is _PERIOD and not eos) or (label is _NONE and eos)
         if inconsistent:
             if strict:
                 raise SeppParseError(
@@ -180,9 +181,9 @@ def parse_sepp_file(path, *, strict: bool = False) -> SeppDocument:
 
 def _render_flag(token: LabeledToken) -> str:
     # Column 2 is derived from the label where the consistency rule binds.
-    if token.label is PunctLabel.PERIOD:
+    if token.label is _PERIOD:
         return "1"
-    if token.label is PunctLabel.NONE:
+    if token.label is _NONE:
         return "0"
     return "1" if token.eos else "0"
 

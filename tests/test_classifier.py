@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import struct
@@ -173,13 +174,19 @@ def test_model_files_identical_across_processes(tmp_path):
         "save_model(model, sys.argv[1])\n",
         encoding="utf-8",
     )
+    import os
     import subprocess
     import sys as _sys
+    from pathlib import Path
 
+    import puncseg
+
+    src = str(Path(puncseg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out_a = tmp_path / "a.bin"
     out_b = tmp_path / "b.bin"
     for out in (out_a, out_b):
-        subprocess.run([_sys.executable, str(script), str(out)], check=True)
+        subprocess.run([_sys.executable, str(script), str(out)], env=env, check=True)
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
@@ -304,6 +311,21 @@ def test_load_rejects_an_out_of_range_triple(small_model_file, triple):
     small_model_file.write_bytes(_join_model_file(header, sections))
     with pytest.raises(CorruptModelError, match="out of range"):
         load_model(small_model_file)
+
+
+def test_loaded_rows_equal_the_trained_rows_in_any_triple_order(small_model_file):
+    model = train_reference([_abc_corpus(5)], epochs=1, seed=0)
+    assert load_model(small_model_file).weights == model.weights
+    header, sections = _split_model_file(small_model_file.read_bytes())
+    triples = sorted(struct.iter_unpack("<IId", sections[2][8:]), key=lambda t: (t[1], t[0]))
+    assert len({fid for fid, _, _ in triples}) < len(triples)  # some row holds several
+    # ordered by label, then feature: a row's triples are no longer together
+    sections[2] = sections[2][:8] + b"".join(struct.pack("<IId", *t) for t in triples)
+    small_model_file.write_bytes(_join_model_file(header, sections))
+    loaded = load_model(small_model_file)
+    assert loaded.weights == model.weights
+    gc.collect()
+    assert not any(gc.is_tracked(row) for row in loaded.weights.values())
 
 
 def test_replay_classifier_returns_recorded_labels():

@@ -502,6 +502,35 @@ def test_windows_other_than_the_announced_ones_get_their_own_labels(tmp_path):
         assert clf.classify(["q", "p"]) == [N, P]
 
 
+def test_announcements_are_read_no_further_than_the_requests_in_flight(tmp_path):
+    cmd = _stub(tmp_path, "first_letter", _FIRST_LETTER)
+    wins = [[f"w{i}", f"p{i}"] if i % 3 else [f"p{i}"] for i in range(40)]
+    calls = []  # the windows asked for, in order
+    reads = []  # per window read from the announcement: the index of the call reading it
+
+    def announce():
+        for window in wins:
+            reads.append(len(calls) - 1)
+            yield window
+
+    config = ExternalAdapterConfig(cmd, timeout=10)
+    asked = wins[:20] + [["x", "py"]] + wins[21:25]  # window 20 is not the one announced
+    with ExternalClassifier(config) as clf:
+        clf.expect(announce())
+        labels = []
+        for window in asked:
+            calls.append(window)
+            labels.append(clf.classify(window))
+            if len(calls) == 21:
+                read_by_unannounced = len(reads)
+        assert clf._ahead is None and clf._next is None
+    assert len(reads) == read_by_unannounced < len(wins)  # nothing read after window 20
+    assert max(j - call for j, call in enumerate(reads)) == external._IN_FLIGHT - 1
+    with ExternalClassifier(config) as unannounced:
+        assert labels == [unannounced.classify(window) for window in asked]
+    assert labels == [_rule(window) for window in asked]
+
+
 def test_restarts_resend_unanswered_requests_in_order(tmp_path, monkeypatch):
     # Each life answers two requests and exits, with more requests in flight.
     monkeypatch.setattr(external, "_MAX_RESTARTS", 1)
@@ -595,7 +624,7 @@ def test_classify_chunked_announces_its_chunks(tmp_path):
     config = ExternalAdapterConfig(cmd, timeout=10, max_window_words=4)
     with ExternalClassifier(config) as clf:
         assert classify_chunked(clf, words, 200) == _rule(words)
-        assert not clf._sent and not clf._ahead
+        assert not clf._sent and clf._ahead is None and clf._next is None
 
 
 def test_close_with_requests_in_flight_leaves_no_open_fds(tmp_path):
@@ -625,7 +654,7 @@ def test_kill_closes_both_pipes_when_the_child_outlives_its_wait(tmp_path):
     proc.wait = wait
     clf.close()
     assert proc.stdin.closed and proc.stdout.closed
-    assert clf._proc is None and not clf._sent and not clf._ahead
+    assert clf._proc is None and not clf._sent and clf._ahead is None and clf._next is None
     del proc.wait
     proc.wait(timeout=5)  # reap the killed child
 

@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -12,10 +14,12 @@ from corpora import template_corpus
 from oracles import HashClassifier, brute_force_render, brute_force_segment, brute_force_votes
 from puncseg.classifier import LABELS, train_reference
 from puncseg.errors import EmptyStreamError, WindowClassifyError
+from puncseg.external import _IN_FLIGHT
 from puncseg.sepp import PunctLabel
 from puncseg.segmenter import (
     SegmenterConfig,
     VoteTable,
+    Window,
     accumulate_votes,
     classify_chunked,
     decide,
@@ -91,6 +95,25 @@ def test_windows_long_stream_count_and_coverage():
 def test_windows_empty_stream():
     with pytest.raises(EmptyStreamError):
         windows([], SegmenterConfig())
+
+
+@pytest.mark.parametrize(
+    "n,w,stride",
+    [(1, 200, 1), (3, 7, 2), (5, 5, 1), (5, 5, 5), (6, 5, 1), (10, 3, 1), (11, 4, 3), (20, 6, 4)],
+)
+def test_windows_read_lazily_equal_the_listed_windows(n, w, stride):
+    # (11, 4, 3) and (20, 6, 4) leave a stride tail uncovered; n <= W gives one window.
+    stream = _stream(n)
+    want = [Window(s, list(stream[s : s + w])) for s in range(0, max(0, n - w) + 1, stride)]
+    for given_stream in (stream, tuple(stream)):
+        ws = windows(given_stream, SegmenterConfig(window_words=w, stride=stride))
+        assert len(ws) == len(want)
+        assert [ws[i] for i in range(len(ws))] == want
+        assert ws[-1] == want[-1]
+        assert list(ws) == want
+        assert all(type(win.words) is list for win in ws)
+        with pytest.raises(IndexError):
+            ws[len(want)]
 
 
 def test_config_validation():
@@ -631,3 +654,49 @@ def test_window_invariant_path_names_the_failing_call(faulty, window_start):
         assert exc_info.value.__cause__ is None
     else:
         assert exc_info.value.__cause__ is faulty.raised[-1]
+
+
+# --------------------------------------------------------------------------
+# Memory: the windows are sliced as calls need them, never all held at once.
+# Listed up front, the 19,801 windows of a 20k-word stream at W=200 took
+# about 33 MiB; either vote path now peaks at about 2.5 MiB, mostly the
+# vote table itself.
+
+
+class ReadsAhead:
+    """Reads its announcements like the external adapter: at most ``_IN_FLIGHT`` ahead."""
+
+    name = "reads-ahead"
+    max_window_words = None
+
+    def __init__(self):
+        self.ahead = iter(())
+        self.read = deque()
+
+    def expect(self, windows):
+        self.ahead = iter(windows)
+        self.read.clear()
+
+    def classify(self, window):
+        while len(self.read) < _IN_FLIGHT and (nxt := next(self.ahead, None)) is not None:
+            self.read.append(nxt)
+        assert self.read.popleft() == window
+        return [N] * len(window)
+
+
+@pytest.mark.parametrize("path", ["context_words", "expect"])
+def test_votes_on_a_long_stream_never_hold_every_window(trained, path):
+    # Six distinct words keep the built-in model's bounded label cache small,
+    # so the peak is the segmenter's own.
+    rng = random.Random(14)
+    stream = [rng.choice(_VOCAB[:6]) for _ in range(20_000)]
+    clf = trained if path == "context_words" else ReadsAhead()
+    cfg = SegmenterConfig(window_words=200)
+    accumulate_votes(stream, clf, cfg)  # fills the label cache
+    tracemalloc.start()
+    try:
+        accumulate_votes(stream, clf, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
