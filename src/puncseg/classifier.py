@@ -49,23 +49,26 @@ class Classifier(Protocol):
     """Contract every classifier implementation honors.
 
     Optional capabilities are attributes the segmenter probes with
-    ``getattr``.  ``context_words = k`` (a positive int) promises that the
-    label at offset ``j`` of a ``w``-word window depends only on
+    ``getattr``.  ``max_window_words`` is the largest call the classifier
+    accepts; ``None`` or no such attribute means unlimited.
+
+    ``context_words = k`` (a positive int) promises that the label at
+    offset ``j`` of a ``w``-word window depends only on
     ``window[j-k : j+k+1]``, ``min(j, k)`` and ``min(w-1-j, k)``.  The
     segmenter then classifies only the edges of most windows and shares
     the labels of their interiors; a wrong declaration gives wrong votes.
 
-    ``expect(windows)`` is a method taking a list of windows: the next
-    ``classify`` calls will be for these windows, in this order.  The
+    ``expect(windows)`` is a method taking an iterable of windows: the
+    next ``classify`` calls will be for these windows, in this order.  The
     segmenter announces its calls this way before it classifies every
-    window in full, so a classifier can start on later windows early
-    (the external adapter keeps several requests in flight).  ``classify``
+    window in full, so a classifier can start on later windows early; the
+    iterable may be lazy, and the external adapter reads it only as far as
+    the requests it keeps in flight, at most 8 windows ahead.  ``classify``
     stays the only call that labels, and a call for another window must
     still be answered correctly.
     """
 
     name: str
-    max_window_words: int | None
 
     def classify(self, window: Sequence[str]) -> list[PunctLabel]:
         """Return exactly one label per window word; deterministic."""
@@ -187,7 +190,6 @@ class LinearModel:
     """
 
     name = "linear"
-    max_window_words: int | None = None
     context_words = 4
 
     def __init__(self, weights: dict[int, tuple[float, ...]], seed: int = 0, epochs: int = 0):
@@ -255,6 +257,8 @@ def train_reference(
         raise OutOfRangeError(f"seed {seed} does not fit a signed 64-bit integer")
     if not 0 <= epochs < 2**32:
         raise OutOfRangeError(f"epochs {epochs} must lie in [0, 2**32 - 1]")
+    if window_words < 1:
+        raise OutOfRangeError(f"window_words {window_words} must be at least 1")
     examples = _pooled_examples(train, window_words)
     if not examples:
         raise EmptyTrainingSetError("no training tokens")
@@ -396,17 +400,15 @@ class ReplayClassifier:
     """
 
     name = "replay"
-    max_window_words: int | None = None
 
     def __init__(self, words: list[str], labels: list[PunctLabel]):
         if len(words) != len(labels):
             raise ValueError("words and labels must align")
-        self.words = list(words)
         self.labels = list(labels)
-        ids = dict.fromkeys(self.words)
+        ids = dict.fromkeys(words)
         self._width = max(1, (len(ids).bit_length() + 7) // 8)
         self._codes = {w: i.to_bytes(self._width, "little") for i, w in enumerate(ids)}
-        self._encoded = b"".join(self._codes[w] for w in self.words)
+        self._encoded = b"".join(self._codes[w] for w in words)
 
     @classmethod
     def from_document(cls, doc: SeppDocument) -> "ReplayClassifier":

@@ -80,7 +80,6 @@ class ExternalClassifier:
         self._proc: subprocess.Popen | None = None
         self._sent: deque[tuple[Sequence[str], bytes]] = deque()  # requests awaiting replies
         self._ahead: Iterator[Sequence[str]] | None = None  # announced windows not yet read
-        self._next: Sequence[str] | None = None  # the announced window read but not yet sent
         self._out = b""  # request bytes the child has not taken yet
         self._pending = b""  # what the child wrote past the last reply taken
 
@@ -156,7 +155,7 @@ class ExternalClassifier:
     def close(self) -> None:
         self._kill()
         self._sent.clear()
-        self._drop_ahead()
+        self._ahead = None
 
     def __enter__(self) -> "ExternalClassifier":
         return self
@@ -173,19 +172,6 @@ class ExternalClassifier:
         ``windows`` is read lazily, no further than the requests in flight reach.
         """
         self._ahead = iter(windows)
-        self._next = None
-
-    def _peek(self) -> Sequence[str] | None:
-        """The next announced window not yet sent, read if need be; None when there is none."""
-        if self._next is None and self._ahead is not None:
-            self._next = next(self._ahead, None)
-            if self._next is None:
-                self._ahead = None
-        return self._next
-
-    def _drop_ahead(self) -> None:
-        """Forget the announced windows not yet sent, without reading the rest."""
-        self._ahead = self._next = None
 
     def classify(self, window: Sequence[str]) -> list[PunctLabel]:
         sent = self._sent
@@ -194,19 +180,20 @@ class ExternalClassifier:
             if sent:  # the requests in flight are for other windows
                 self._kill()
                 sent.clear()
-            if self._peek() == window:
-                self._next = None
-            else:
-                self._drop_ahead()
+            if self._ahead is not None and next(self._ahead, None) != window:
+                self._ahead = None
             sent.append((window, request))
             self._out += request
-        while len(sent) < _IN_FLIGHT and (ahead := self._peek()) is not None:
+        while len(sent) < _IN_FLIGHT and self._ahead is not None:
+            ahead = next(self._ahead, None)
+            if ahead is None:
+                self._ahead = None
+                break
             try:
                 ahead_request = _request(ahead)
-            except (EmptyWindowError, ValueError):  # left for its own call to reject
-                self._drop_ahead()
+            except Exception:  # its own call builds the request again and raises
+                self._ahead = None
                 break
-            self._next = None
             sent.append((ahead, ahead_request))
             self._out += ahead_request
 

@@ -217,7 +217,7 @@ def _shared_interior_votes(
         first_unknown = max(known, s + k)
         stop = s + w - k
         next_inner = s + step + k if s < last else n
-        if first_unknown < stop and next_inner > first_unknown:
+        if next_inner > first_unknown:
             labels = _classify(classifier, stream[s : s + w], s)
             votes.add_window(s, labels)
             inner[first_unknown:stop] = labels[first_unknown - s : stop - s]

@@ -134,6 +134,14 @@ def test_seed_and_epochs_the_model_file_cannot_hold_rejected_before_training(see
         train_reference([], epochs=epochs, seed=seed)
 
 
+@pytest.mark.parametrize("window_words", [0, -1])
+def test_window_words_below_one_rejected_before_training(window_words):
+    # checked up front: 0 would fail inside range() and -1 would find no
+    # training tokens in a corpus that has them
+    with pytest.raises(OutOfRangeError, match="window_words"):
+        train_reference([_abc_corpus(5)], epochs=1, seed=0, window_words=window_words)
+
+
 @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
 def test_extreme_seeds_round_trip_through_the_model_file(tmp_path, seed):
     model = train_reference([_abc_corpus(5)], epochs=0, seed=seed)

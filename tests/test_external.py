@@ -523,12 +523,63 @@ def test_announcements_are_read_no_further_than_the_requests_in_flight(tmp_path)
             labels.append(clf.classify(window))
             if len(calls) == 21:
                 read_by_unannounced = len(reads)
-        assert clf._ahead is None and clf._next is None
+        assert clf._ahead is None
     assert len(reads) == read_by_unannounced < len(wins)  # nothing read after window 20
     assert max(j - call for j, call in enumerate(reads)) == external._IN_FLIGHT - 1
     with ExternalClassifier(config) as unannounced:
         assert labels == [unannounced.classify(window) for window in asked]
     assert labels == [_rule(window) for window in asked]
+
+
+# Appends every request line it reads, as bytes, to a log before it answers.
+_LOGGING = """
+    import sys
+    with open({log!r}, "ab") as log:
+        for line in sys.stdin.buffer:
+            log.write(line)
+            log.flush()
+            words = line.decode("utf-8").split()
+            print(" ".join("." if w.startswith("p") else "0" for w in words), flush=True)
+    """
+
+
+class _Recording:
+    """Forwards to the adapter, ``expect`` included, and records the words of each call."""
+
+    name = "external"
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.max_window_words = inner.max_window_words
+        self.announced = 0
+        self.asked = []
+
+    def expect(self, windows):
+        self.announced += 1
+        self._inner.expect(windows)
+
+    def classify(self, window):
+        self.asked.append(list(window))
+        return self._inner.classify(window)
+
+
+@pytest.mark.parametrize("path", ["segment", "classify_chunked"])
+def test_child_reads_each_call_request_once_in_call_order(tmp_path, path):
+    log = tmp_path / "requests"
+    cmd = _stub(tmp_path, "logging", _LOGGING.format(log=str(log)))
+    stream = _stream(61)
+    stream[5] = "één"
+    config = ExternalAdapterConfig(cmd, timeout=10, max_window_words=4)
+    with ExternalClassifier(config) as clf:
+        recording = _Recording(clf)
+        if path == "segment":
+            segment(stream, recording, SegmenterConfig(window_words=10, stride=3))
+        else:
+            assert classify_chunked(recording, stream, 200) == _rule(stream)
+    assert recording.announced == 1
+    assert max(map(len, recording.asked)) == 4
+    expected = b"".join((" ".join(words) + "\n").encode("utf-8") for words in recording.asked)
+    assert log.read_bytes() == expected
 
 
 def test_restarts_resend_unanswered_requests_in_order(tmp_path, monkeypatch):
@@ -611,6 +662,13 @@ def test_word_that_cannot_cross_fails_at_its_own_window_when_announced(tmp_path,
     assert failures == [(13, ValueError)] * 2  # rejected before it was sent
 
 
+def test_word_that_is_not_a_str_fails_at_its_own_window_when_announced(tmp_path):
+    # The join raises TypeError, an error of no protocol type: a read-ahead
+    # window still leaves it to its own call.
+    failures = _failures_at_bad_word(tmp_path, b"x")
+    assert failures == [(13, TypeError)] * 2
+
+
 def test_word_that_cannot_be_encoded_fails_at_its_own_window(tmp_path):
     # A lone surrogate passes str.split() but has no UTF-8 form; the
     # UnicodeEncodeError is a ValueError, as for any word that cannot cross.
@@ -624,7 +682,7 @@ def test_classify_chunked_announces_its_chunks(tmp_path):
     config = ExternalAdapterConfig(cmd, timeout=10, max_window_words=4)
     with ExternalClassifier(config) as clf:
         assert classify_chunked(clf, words, 200) == _rule(words)
-        assert not clf._sent and clf._ahead is None and clf._next is None
+        assert not clf._sent and clf._ahead is None
 
 
 def test_close_with_requests_in_flight_leaves_no_open_fds(tmp_path):
@@ -654,7 +712,7 @@ def test_kill_closes_both_pipes_when_the_child_outlives_its_wait(tmp_path):
     proc.wait = wait
     clf.close()
     assert proc.stdin.closed and proc.stdout.closed
-    assert clf._proc is None and not clf._sent and clf._ahead is None and clf._next is None
+    assert clf._proc is None and not clf._sent and clf._ahead is None
     del proc.wait
     proc.wait(timeout=5)  # reap the killed child
 
