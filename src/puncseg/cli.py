@@ -152,7 +152,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _check_aligned(gold: SeppDocument, pred: SeppDocument) -> None:
-    gw, pw = gold.words(), pred.words()
+    gw, pw = strip_labels(gold), strip_labels(pred)
     for i, (g, p) in enumerate(zip(gw, pw)):
         if g != p:
             raise WordMismatchError(i)
@@ -225,7 +225,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     _require_files(args.input)
     settings = resolve_settings(args)
     with make_classifier(settings["classifier"]) as classifier:
-        words = parse_sepp_file(args.input).words()
+        words = strip_labels(parse_sepp_file(args.input))
         labels = segmenter.classify_chunked(classifier, words, settings["window"])
     pred = _predictions_document(words, labels, set(), source_id=str(args.input))
     _emit(write_sepp(pred), args.out)

@@ -9,8 +9,9 @@ labels from the segmenting set cut the stream after their word.
 A classifier that declares ``context_words = k`` labels a word in a
 window's interior (``k`` or more words from either edge) the same way in
 every window, so only the ``k``-word edges of most windows are
-classified and the interior votes are counted in bulk.  The vote table
-is the same as when every window is classified in full.
+classified, and each word's interior label is counted once, weighted by
+the number of windows whose interior holds it.  The vote table is the
+same as when every window is classified in full.
 """
 
 from __future__ import annotations
@@ -94,35 +95,12 @@ def windows(stream: Sequence[str], cfg: SegmenterConfig) -> Sequence[Window]:
     return _Windows(words, range(0, last + 1, cfg.stride), cfg.window_words)
 
 
-@dataclass
-class VoteTable:
-    """Per word: label vote counts over covering windows."""
-
-    counts: list[list[int]]  # one row of N_LABELS ints per word, label axis in tie order
-
-    @classmethod
-    def zeros(cls, n_words: int) -> "VoteTable":
-        return cls([[0] * N_LABELS for _ in range(n_words)])
-
-    @property
-    def coverage(self) -> list[int]:
-        """Windows covering each word: the row sums of ``counts``."""
-        return [sum(row) for row in self.counts]
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def add_window(self, start: int, labels: Sequence[PunctLabel]) -> None:
-        """Count one vote per label, the first for word ``start``."""
-        counts = self.counts
-        for i, label in enumerate(labels, start):
-            counts[i][label.index] += 1
-
-
 def classify_chunked(
     classifier: Classifier, words: Sequence[str], window_words: int
 ) -> list[PunctLabel]:
     """Label ``words`` in calls of at most min(window_words, classifier limit) words."""
+    if not words:
+        raise EmptyStreamError("cannot classify an empty document")
     calls = _announced_calls(classifier, [Window(0, words)], len(words), window_words)
     return [label for at, chunk in calls for label in _classify(classifier, chunk, at)]
 
@@ -170,31 +148,41 @@ def _classify(classifier: Classifier, words: Sequence[str], at: int) -> list[Pun
 
 def accumulate_votes(
     stream: Sequence[str], classifier: Classifier, cfg: SegmenterConfig
-) -> VoteTable:
+) -> list[list[int]]:
     """Tally one vote per covered word for every window.
 
-    When the stream has more than one window and the classifier declares
-    ``context_words = k`` with ``2k < W`` and accepts whole windows, the
-    votes come from :func:`_shared_interior_votes`, which announces no
-    call.  Otherwise every window is classified in full, its calls
-    announced as they are cut.  The table is the same either way.
+    The table holds one row per word: ``N_LABELS`` vote counts, the
+    label axis in tie order (``LABELS``), so a row sums to the number of
+    windows covering its word.  When the stream has more than one window
+    and the classifier declares ``context_words = k`` with ``2k < W`` and
+    accepts whole windows, the votes come from
+    :func:`_shared_interior_votes`, which announces no call.  Otherwise
+    every window is classified in full, its calls announced as they are
+    cut.  The table is the same either way.
     """
-    votes = VoteTable.zeros(len(stream))
+    counts = [[0] * N_LABELS for _ in range(len(stream))]
     wins = windows(stream, cfg)
     w = cfg.window_words
     if len(wins) > 1:
         k = getattr(classifier, "context_words", None)
         limit = getattr(classifier, "max_window_words", None)
         if k and 2 * k < w and (limit is None or limit >= w):
-            _shared_interior_votes(votes, wins.stream, wins.starts, classifier, w, k)
-            return votes
+            _shared_interior_votes(counts, wins.stream, wins.starts, classifier, w, k)
+            return counts
     for at, chunk in _announced_calls(classifier, wins, min(len(stream), w), w):
-        votes.add_window(at, _classify(classifier, chunk, at))
-    return votes
+        _vote(counts, at, _classify(classifier, chunk, at))
+    return counts
+
+
+def _vote(counts: list[list[int]], start: int, labels: Sequence[PunctLabel]) -> None:
+    """Count one vote per label, the first for word ``start``."""
+    for i, label in enumerate(labels, start):
+        counts[i][label.index] += 1
 
 
 def _shared_interior_votes(
-    votes: VoteTable, stream: list[str], starts: range, classifier: Classifier, w: int, k: int
+    counts: list[list[int]], stream: list[str], starts: range,
+    classifier: Classifier, w: int, k: int,
 ) -> None:
     """Vote the ``w``-word windows at ``starts``, classifying their interiors only where needed.
 
@@ -203,44 +191,37 @@ def _shared_interior_votes(
     ``[s+k, s+w-k)`` of a window starting at ``s`` gets the labels any
     other window gives those words there, so walking left to right, a
     window is classified in full only when the next window's interior
-    misses a word of its own that no earlier full window labelled.  Full
-    windows vote all their labels; every other window adds one to a
-    difference array over its interior, applied once at the end.  Every
-    call's words are sliced from the stream as the call is made.
+    misses a word of its own that no earlier full window labelled.  Every
+    window votes its head and tail; a full window also votes the interior
+    label of each word it labels first, once, weighted by the number of
+    window starts whose interior holds that word.  Every call's words are
+    sliced from the stream as the call is made.
     """
-    n = len(votes)
-    inner: list[PunctLabel | None] = [None] * n  # each word's label in a window interior
-    shared = [0] * (n + 1)  # difference array of interior votes still to cast
-    known = 0  # interior labels are recorded for every word before this one
+    known = 0  # every word before this one has had its interior votes cast
     last, step = starts[-1], starts.step
     for s in starts:
         first_unknown = max(known, s + k)
         stop = s + w - k
-        next_inner = s + step + k if s < last else n
+        next_inner = s + step + k if s < last else len(counts)
         if next_inner > first_unknown:
-            labels = _classify(classifier, stream[s : s + w], s)
-            votes.add_window(s, labels)
-            inner[first_unknown:stop] = labels[first_unknown - s : stop - s]
+            head = _classify(classifier, stream[s : s + w], s)
+            tail = head[w - 2 * k :]
+            for p in range(first_unknown, stop):
+                # the starts t in [0, last], multiples of step, with t + k <= p < t + w - k
+                held = min(last, p - k) // step - max(-1, p - w + k) // step
+                counts[p][head[p - s].index] += held
             known = stop
         else:
             head = _classify(classifier, stream[s : s + 2 * k], s)
             tail = _classify(classifier, stream[stop - k : s + w], stop - k)
-            votes.add_window(s, head[:k])
-            votes.add_window(stop, tail[k:])
-            shared[s + k] += 1
-            shared[stop] -= 1
-    counts = votes.counts
-    count = 0
-    for p in range(n):
-        count += shared[p]
-        if count:
-            counts[p][inner[p].index] += count
+        _vote(counts, s, head[:k])
+        _vote(counts, stop, tail[k:])
 
 
 def decide(
-    votes: VoteTable, cfg: SegmenterConfig
+    votes: list[list[int]], cfg: SegmenterConfig
 ) -> tuple[list[PunctLabel], set[int]]:
-    """Apply the threshold to the vote table.
+    """Apply the threshold to the vote rows of :func:`accumulate_votes`.
 
     per_class mode accepts, per word, the highest-ratio label whose ratio
     strictly exceeds theta (ties broken by the global label order).
@@ -256,7 +237,7 @@ def decide(
     theta = cfg.theta
     labels: list[PunctLabel] = []
     boundaries: set[int] = set()
-    for i, row in enumerate(votes.counts):
+    for i, row in enumerate(votes):
         cov = sum(row)
         if cov == 0:
             labels.append(PunctLabel.NONE)

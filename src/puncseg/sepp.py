@@ -97,9 +97,6 @@ class SeppDocument:
     def __iter__(self) -> Iterator[LabeledToken]:
         return iter(self.tokens)
 
-    def words(self) -> list[str]:
-        return [t.word for t in self.tokens]
-
     def sentences(self) -> list[list[LabeledToken]]:
         """Split tokens into sentences after each eos token.
 
@@ -237,4 +234,4 @@ def read_lines(path) -> Iterator[str]:
 
 def strip_labels(doc: SeppDocument) -> list[str]:
     """Project the document onto its word column: the simulated ASR stream."""
-    return doc.words()
+    return [t.word for t in doc.tokens]

@@ -36,6 +36,7 @@ from puncseg.sepp import (
     SeppDocument,
     parse_sepp,
     parse_sepp_file,
+    strip_labels,
     write_sepp,
 )
 from puncseg.textprep import SplitSpec, split_corpus
@@ -233,7 +234,7 @@ def test_reference_classifier_sanity():
 
     model = train_reference([train_doc], epochs=5, seed=3)
 
-    words = test_doc.words()
+    words = strip_labels(test_doc)
     gold = [t.label for t in test_doc.tokens]
     pred = []
     for start in range(0, len(words), 200):
@@ -313,7 +314,7 @@ def test_external_model_out_of_domain_integration():
     """Criterion 11 (optional): a real external model lands near the published
     out-of-domain scores (P 0.8749, R 0.9380, F1 0.9053 for S={.?}), +-0.03."""
     gold = parse_sepp_file(OOD_GOLD)
-    words = gold.words()
+    words = strip_labels(gold)
     seg_set = frozenset({P, PunctLabel.QUESTION})
     cfg = SegmenterConfig(window_words=200, stride=1, theta=0.1, segmenters=seg_set)
     with ExternalClassifier(ExternalAdapterConfig(EXTERNAL_CMD, timeout=300)) as clf:

@@ -10,6 +10,7 @@ from puncseg.sepp import (
     PunctLabel,
     SeppDocument,
     parse_sepp,
+    strip_labels,
     write_sepp,
     write_sepp_file,
 )
@@ -319,7 +320,7 @@ def test_classify_train_round_trip(tmp_path, capsys):
 
     gold_doc = parse_sepp(test_file.read_text(encoding="utf-8"))
     pred_doc = parse_sepp(pred.read_text(encoding="utf-8"))
-    assert pred_doc.words() == gold_doc.words()
+    assert strip_labels(pred_doc) == strip_labels(gold_doc)
     agree = sum(
         1 for g, p in zip(gold_doc.tokens, pred_doc.tokens) if g.label is p.label
     )
@@ -656,6 +657,7 @@ def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
          "bad theta value"),
         (["significance", "{gold}", "--config-a", "{cfg}", "--config-b", "{cfg}",
           "--block-size", "8"], "only 1 block(s)"),
+        (["classify", "{empty}", "--classifier", "replay:{gold}"], "[EMPTY_STREAM]"),
     ],
     ids=[
         "split-fraction", "train-window", "train-epochs", "classify-window", "block-size",
@@ -665,6 +667,7 @@ def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
         "config-no-equals", "config-window-abc", "segmenters-unknown", "segmenters-none",
         "segmenters-empty", "classifier-no-argument", "classifier-unknown-kind",
         "pred-prefix-of-gold", "sweep-theta-abc", "significance-one-block",
+        "classify-empty-document",
     ],
 )
 def test_out_of_range_arguments_are_coded_errors(tmp_path, capsys, argv, named):
@@ -686,9 +689,11 @@ def test_out_of_range_arguments_are_coded_errors(tmp_path, capsys, argv, named):
     prefix = tmp_path / "prefix.tsv"
     prefix.write_text("".join(gold.read_text(encoding="utf-8").splitlines(True)[:5]),
                       encoding="utf-8")
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("", encoding="utf-8")
     paths = {"tmp": tmp_path, "gold": gold, "cfg": cfg, "bad_cfg": bad_cfg, "raw": raw,
              "truecase": truecase, "seed_cfg": seed_cfg, "no_eq_cfg": no_eq_cfg,
-             "abc_cfg": abc_cfg, "prefix": prefix}
+             "abc_cfg": abc_cfg, "prefix": prefix, "empty": empty}
     before = sorted(os.listdir(tmp_path))
     code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert code == 1

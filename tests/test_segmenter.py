@@ -18,7 +18,6 @@ from puncseg.external import _IN_FLIGHT
 from puncseg.sepp import PunctLabel
 from puncseg.segmenter import (
     SegmenterConfig,
-    VoteTable,
     Window,
     accumulate_votes,
     classify_chunked,
@@ -67,6 +66,11 @@ def _stream(n):
     return [f"w{i}" for i in range(n)]
 
 
+def _coverage(rows):
+    """Windows covering each word: the row sums of a vote table."""
+    return [sum(row) for row in rows]
+
+
 def test_windows_starts():
     cfg = SegmenterConfig(window_words=3, stride=1)
     ws = windows(_stream(5), cfg)
@@ -85,11 +89,11 @@ def test_windows_long_stream_count_and_coverage():
     stream = _stream(1000)
     ws = windows(stream, cfg)
     assert len(ws) == 801
-    votes = accumulate_votes(stream, ConstantClassifier(), cfg)
+    coverage = _coverage(accumulate_votes(stream, ConstantClassifier(), cfg))
     # words in the middle appear in exactly 200 windows
-    assert int(votes.coverage[500]) == 200
-    assert int(votes.coverage[0]) == 1
-    assert int(votes.coverage[999]) == 1
+    assert coverage[500] == 200
+    assert coverage[0] == 1
+    assert coverage[999] == 1
 
 
 def test_windows_empty_stream():
@@ -134,30 +138,30 @@ def test_config_validation():
 def test_accumulate_single_window_votes():
     cfg = SegmenterConfig(window_words=3)
     votes = accumulate_votes(["a", "b", "c"], FixedLabels([N, N, P]), cfg)
-    assert list(votes.coverage) == [1, 1, 1]
-    assert votes.counts[2][1] == 1  # PERIOD vote on the last word
-    assert sum(map(sum, votes.counts)) == 3
+    assert _coverage(votes) == [1, 1, 1]
+    assert votes[2][1] == 1  # PERIOD vote on the last word
+    assert sum(map(sum, votes)) == 3
 
 
 def test_accumulate_coverage_n4_w3():
     cfg = SegmenterConfig(window_words=3, stride=1)
     votes = accumulate_votes(_stream(4), ConstantClassifier(), cfg)
-    assert list(votes.coverage) == [1, 2, 2, 1]
+    assert _coverage(votes) == [1, 2, 2, 1]
 
 
 def test_accumulate_deterministic():
     cfg = SegmenterConfig(window_words=4, stride=2)
     one = accumulate_votes(_stream(9), HashClassifier(7), cfg)
     two = accumulate_votes(_stream(9), HashClassifier(7), cfg)
-    assert one.counts == two.counts
-    assert one.coverage == two.coverage
+    assert one == two
+    assert _coverage(one) == _coverage(two)
 
 
 def test_vote_table_sums_match_coverage():
     cfg = SegmenterConfig(window_words=5, stride=2)
     votes = accumulate_votes(_stream(17), HashClassifier(3, spread=6), cfg)
-    assert [sum(row) for row in votes.counts] == votes.coverage
-    assert max(votes.coverage) <= -(-cfg.window_words // cfg.stride)
+    assert sum(_coverage(votes)) == len(windows(_stream(17), cfg)) * cfg.window_words
+    assert max(_coverage(votes)) <= -(-cfg.window_words // cfg.stride)
 
 
 def test_vote_table_add_window_matches_accumulate_votes():
@@ -165,11 +169,12 @@ def test_vote_table_add_window_matches_accumulate_votes():
     stream = _stream(12)
     clf = HashClassifier(11, spread=6)
     full = accumulate_votes(stream, clf, cfg)
-    folded = VoteTable.zeros(len(stream))
+    folded = [[0] * len(LABELS) for _ in stream]
     for w in windows(stream, cfg):
-        folded.add_window(w.start, clf.classify(w.words))
-    assert folded.counts == full.counts
-    assert folded.coverage == full.coverage
+        for i, label in enumerate(clf.classify(w.words), w.start):
+            folded[i][label.index] += 1
+    assert folded == full
+    assert _coverage(folded) == _coverage(full)
 
 
 def test_import_leaves_numpy_unloaded():
@@ -184,14 +189,23 @@ def test_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_public_names_resolve_and_star_import_succeeds():
+    import puncseg
+
+    missing = [name for name in puncseg.__all__ if not hasattr(puncseg, name)]
+    assert not missing
+    namespace = {}
+    exec("from puncseg import *", namespace)
+    assert set(puncseg.__all__) <= set(namespace)
+
+
 def _table(rows, coverage):
     counts = [[0] * 6 for _ in coverage]
     for i, row in rows.items():
         for label_idx, count in row.items():
             counts[i][label_idx] = count
-    votes = VoteTable(counts)
-    assert votes.coverage == list(coverage)
-    return votes
+    assert _coverage(counts) == list(coverage)
+    return counts
 
 
 def test_decide_accepts_above_threshold():
@@ -344,7 +358,7 @@ def test_chunked_calls_respect_classifier_limit():
     votes = accumulate_votes(_stream(10), Limited(), cfg)
     assert max(calls) <= 4
     assert sum(calls) == 10
-    assert list(votes.coverage) == [1] * 10
+    assert _coverage(votes) == [1] * 10
 
 
 def test_theta_monotonicity_on_random_votes():
@@ -404,7 +418,7 @@ def test_stride_two_matches_oracle_and_may_leave_tail_uncovered():
         clf = HashClassifier(500 + case, spread=4)
         votes = accumulate_votes(stream, clf, cfg)
         slow_counts, slow_cov = brute_force_votes(stream, clf, window_words, stride)
-        assert list(votes.coverage) == slow_cov
+        assert _coverage(votes) == slow_cov
         labels, bounds = decide(votes, cfg)
         want_labels, want_bounds = brute_force_segment(
             stream, clf, window_words, stride, 0.1, cfg.segmenters, "per_class"
@@ -426,9 +440,9 @@ def test_brute_force_votes_agree_with_fast_path():
     from puncseg.classifier import LABELS
 
     for i in range(len(stream)):
-        assert slow_cov[i] == int(fast.coverage[i])
+        assert slow_cov[i] == sum(fast[i])
         for c, label in enumerate(LABELS):
-            assert slow_counts[i][label] == int(fast.counts[i][c])
+            assert slow_counts[i][label] == fast[i][c]
 
 
 # --------------------------------------------------------------------------
@@ -475,8 +489,8 @@ def _assert_invariant_votes_exact(stream, model, window_words, stride):
     fast = accumulate_votes(stream, model, cfg)
     generic = accumulate_votes(stream, Counting(model), cfg)
     slow_counts, _ = brute_force_votes(stream, model, window_words, stride)
-    assert fast.counts == generic.counts
-    assert fast.counts == [[row[label] for label in LABELS] for row in slow_counts]
+    assert fast == generic
+    assert fast == [[row[label] for label in LABELS] for row in slow_counts]
     return fast
 
 
@@ -490,7 +504,7 @@ def test_window_invariant_votes_match_generic_loop_and_oracle(trained):
         stride = rng.choice([1, 1, rng.randrange(1, window_words + 1)])
         stream = _random_stream(rng, n)
         votes = _assert_invariant_votes_exact(stream, trained, window_words, stride)
-        labels_voted.update(c for row in votes.counts for c, v in enumerate(row) if v)
+        labels_voted.update(c for row in votes for c, v in enumerate(row) if v)
         last = max(0, n - window_words)
         seen.add((
             "W<8" if window_words < 8 else "W==8" if window_words == 8 else "W>8",
@@ -525,7 +539,7 @@ def test_multi_window_stream_classifies_far_fewer_positions(trained):
     fast = accumulate_votes(stream, counting, cfg)
     n_windows = len(windows(stream, cfg))
     assert sum(counting.calls) < n_windows * cfg.window_words // 10
-    assert fast.counts == accumulate_votes(stream, Counting(trained), cfg).counts
+    assert fast == accumulate_votes(stream, Counting(trained), cfg)
 
 
 @pytest.mark.parametrize("n,stride", [(150, 1), (200, 1), (201, 2)])
@@ -544,7 +558,7 @@ def test_declared_context_with_a_small_call_limit_takes_the_chunked_generic_path
     assert max(counting.calls) <= 7
     assert sum(counting.calls) == len(windows(stream, cfg)) * cfg.window_words
     generic = accumulate_votes(stream, Counting(trained, max_window_words=7), cfg)
-    assert votes.counts == generic.counts
+    assert votes == generic
 
 
 # --------------------------------------------------------------------------
@@ -581,7 +595,7 @@ def test_full_window_path_announces_every_call_once_in_order(trained, limit):
     assert announcing.announced == [announcing.asked]
     assert max(map(len, announcing.asked)) == (limit or 20)
     unannounced = Counting(trained, max_window_words=limit)
-    assert votes.counts == accumulate_votes(stream, unannounced, cfg).counts
+    assert votes == accumulate_votes(stream, unannounced, cfg)
 
 
 def test_classify_chunked_announces_its_chunks_once(trained):
@@ -592,6 +606,13 @@ def test_classify_chunked_announces_its_chunks_once(trained):
     assert announcing.announced == [chunks]
     assert announcing.asked == chunks
     assert labels == [label for chunk in chunks for label in trained.classify(chunk)]
+
+
+def test_classify_chunked_rejects_an_empty_document_before_any_call(trained):
+    counting = Counting(trained)
+    with pytest.raises(EmptyStreamError):
+        classify_chunked(counting, [], 20)
+    assert counting.calls == []
 
 
 def test_window_invariant_path_calls_classify_directly_and_announces_nothing(trained):
@@ -608,7 +629,7 @@ def test_window_invariant_path_calls_classify_directly_and_announces_nothing(tra
     assert len(lengths) == full + 2 * (n_windows - full)  # one call per head, tail or full window
     # Extra full windows would give the same votes, only slower: pin how many there are.
     assert (full, len(lengths)) == (10, 512)
-    assert votes.counts == accumulate_votes(stream, Counting(trained), cfg).counts
+    assert votes == accumulate_votes(stream, Counting(trained), cfg)
 
 
 class Faulty:
@@ -702,3 +723,19 @@ def test_votes_on_a_long_stream_never_hold_every_window(trained, path):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20
+
+
+def test_window_invariant_votes_hold_nothing_per_word_but_the_table(trained):
+    # Beyond the returned rows, the walk keeps O(W) state: no side array per word.
+    rng = random.Random(15)
+    stream = [rng.choice(_VOCAB[:6]) for _ in range(20_000)]
+    cfg = SegmenterConfig(window_words=200)
+    accumulate_votes(stream, trained, cfg)  # fills the label cache
+    tracemalloc.start()
+    try:
+        rows = accumulate_votes(stream, trained, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(stream)
+    assert peak - held < 64 * 2**10
