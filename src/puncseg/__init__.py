@@ -11,7 +11,6 @@ from .classifier import (
 from .external import ExternalAdapterConfig, ExternalClassifier
 from .metrics import (
     BoundaryScore,
-    ConfusionMatrix,
     DistributionSummary,
     EvalReport,
     boundary_score,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryScore",
     "Classifier",
-    "ConfusionMatrix",
     "DEFAULT_SEGMENTERS",
     "DistributionSummary",
     "EvalReport",

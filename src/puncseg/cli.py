@@ -318,11 +318,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _condition_scores(
-    blocks: list[SeppDocument], settings: dict
+    blocks: list[SeppDocument], cfg: segmenter.SegmenterConfig, classifier_spec: str | None
 ) -> list[float]:
-    cfg = segmenter_config(settings)
     scores = []
-    with make_classifier(settings["classifier"]) as classifier:
+    with make_classifier(classifier_spec) as classifier:
         for block in blocks:
             words = strip_labels(block)
             gold_bounds = metrics.boundaries_from_document(block, cfg.segmenters)
@@ -341,8 +340,10 @@ def cmd_significance(args: argparse.Namespace) -> int:
 
     settings_a = resolve_settings(argparse.Namespace(config=args.config_a))
     settings_b = resolve_settings(argparse.Namespace(config=args.config_b))
-    scores_a = _condition_scores(blocks, settings_a)
-    scores_b = _condition_scores(blocks, settings_b)
+    # both configs are checked before either condition scores a block
+    cfg_a, cfg_b = segmenter_config(settings_a), segmenter_config(settings_b)
+    scores_a = _condition_scores(blocks, cfg_a, settings_a["classifier"])
+    scores_b = _condition_scores(blocks, cfg_b, settings_b["classifier"])
 
     rows = [("A", metrics.summarize(scores_a)), ("B", metrics.summarize(scores_b))]
     _emit(metrics.summaries_tsv(rows), args.out)

@@ -27,34 +27,14 @@ REPORT_INDEX: dict[PunctLabel, int] = {label: i for i, label in enumerate(REPORT
 _N = len(REPORT_ORDER)
 
 
-@dataclass
-class ConfusionMatrix:
-    """6x6 counts, rows gold and columns predicted, in report label order."""
-
-    counts: list[list[int]]
-
-    @classmethod
-    def zeros(cls) -> "ConfusionMatrix":
-        return cls([[0] * _N for _ in range(_N)])
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def diagonal(self) -> int:
-        return sum(self.counts[i][i] for i in range(_N))
-
-    def __getitem__(self, gold_pred: tuple[PunctLabel, PunctLabel]) -> int:
-        gold, pred = gold_pred
-        return self.counts[REPORT_INDEX[gold]][REPORT_INDEX[pred]]
-
-
-def confusion(gold: Sequence[PunctLabel], pred: Sequence[PunctLabel]) -> ConfusionMatrix:
+def confusion(gold: Sequence[PunctLabel], pred: Sequence[PunctLabel]) -> list[list[int]]:
+    """Six rows of six counts: row ``i`` is gold, column ``j`` predicted, both in REPORT_ORDER."""
     if len(gold) != len(pred):
         raise LengthMismatchError(f"gold has {len(gold)} labels, pred has {len(pred)}")
-    cm = ConfusionMatrix.zeros()
+    counts = [[0] * _N for _ in range(_N)]
     for g, p in zip(gold, pred):
-        cm.counts[REPORT_INDEX[g]][REPORT_INDEX[p]] += 1
-    return cm
+        counts[REPORT_INDEX[g]][REPORT_INDEX[p]] += 1
+    return counts
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -86,21 +66,21 @@ class EvalReport:
     zero_division: bool = False
 
 
-def report(cm: ConfusionMatrix) -> EvalReport:
+def report(counts: list[list[int]]) -> EvalReport:
     """Per-class and aggregate metrics; zero denominators score 0 and set a flag.
 
     Macro averages are unweighted means over all six classes, the NONE
     class included; micro F1 equals accuracy for this single-label task.
     """
-    total = cm.total()
+    total = sum(map(sum, counts))
     if total == 0:
         raise EmptyMatrixError("confusion matrix has no counts")
     zero_division = False
     per_class: dict[PunctLabel, ClassMetrics] = {}
     for idx, label in enumerate(REPORT_ORDER):
-        tp = cm.counts[idx][idx]
-        gold_n = sum(cm.counts[idx])
-        pred_n = sum(cm.counts[g][idx] for g in range(_N))
+        tp = counts[idx][idx]
+        gold_n = sum(counts[idx])
+        pred_n = sum(counts[g][idx] for g in range(_N))
         if pred_n:
             precision = tp / pred_n
         else:
@@ -111,7 +91,7 @@ def report(cm: ConfusionMatrix) -> EvalReport:
             recall, zero_division = 0.0, True
         per_class[label] = ClassMetrics(precision, recall, f1_score(precision, recall), gold_n)
 
-    diag = cm.diagonal()
+    diag = sum(counts[i][i] for i in range(_N))
     metrics = list(per_class.values())
     return EvalReport(
         per_class=per_class,
@@ -291,9 +271,9 @@ def report_tsv(rep: EvalReport) -> str:
     return tsv([("class", "precision", "recall", "f1", "support"), *_report_rows(rep)])
 
 
-def confusion_tsv(cm: ConfusionMatrix) -> str:
+def confusion_tsv(counts: list[list[int]]) -> str:
     chars = [label.char for label in REPORT_ORDER]
-    return tsv([("", *chars)] + [(ch, *row) for ch, row in zip(chars, cm.counts)])
+    return tsv([("", *chars)] + [(ch, *row) for ch, row in zip(chars, counts)])
 
 
 def boundary_tsv(score: BoundaryScore) -> str:

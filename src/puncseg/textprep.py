@@ -221,7 +221,10 @@ class SplitSpec:
 def split_corpus(
     documents: list[SeppDocument], spec: SplitSpec
 ) -> tuple[list[SeppDocument], list[SeppDocument]]:
-    """Shuffle units by seed and cut off the first ceil(fraction * n) as train."""
+    """Shuffle units by seed and cut off the first ceil(fraction * n) as train.
+
+    A cut that would leave no test unit raises TooFewUnitsError.
+    """
     if spec.unit == "document":
         units = list(documents)
     else:
@@ -230,9 +233,12 @@ def split_corpus(
             for doc in documents
             for sent in doc.sentences()
         ]
-    if len(units) < 2:
-        raise TooFewUnitsError(f"need at least 2 {spec.unit} units, got {len(units)}")
+    n_train = math.ceil(spec.train_fraction * len(units))
+    if n_train == len(units):
+        raise TooFewUnitsError(
+            f"{len(units)} {spec.unit} units at train fraction {spec.train_fraction} "
+            "leave no test unit"
+        )
     rng = random.Random(spec.seed)
     rng.shuffle(units)
-    n_train = math.ceil(spec.train_fraction * len(units))
     return units[:n_train], units[n_train:]

@@ -352,6 +352,8 @@ def test_replay_classifier_returns_recorded_labels():
         replay.classify(["niet", "aanwezig"])
     with pytest.raises(EmptyWindowError):
         replay.classify([])
+    with pytest.raises(ValueError, match="must align"):
+        ReplayClassifier(["kijk", "om"], [N])
 
 
 def _linear_find(words, window):

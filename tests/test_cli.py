@@ -1,5 +1,7 @@
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -471,6 +473,32 @@ def test_significance_emits_per_block_scores(tmp_path, capsys):
     assert lines[3] == "2\t1.000000\t0.800000"
 
 
+def test_significance_rejects_condition_b_settings_before_scoring(tmp_path, capsys, monkeypatch):
+    from puncseg import segmenter
+
+    gold, _ = _toy_significance_corpus(tmp_path)
+    cfg_a = tmp_path / "a.cfg"
+    cfg_a.write_text(f"classifier = replay:{gold}\nsegmenters = .\n", encoding="utf-8")
+    cfg_b = tmp_path / "b.cfg"
+    cfg_b.write_text(f"classifier = replay:{gold}\ntheta = 2\n", encoding="utf-8")
+    calls = []
+    accumulate_votes = segmenter.accumulate_votes
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return accumulate_votes(*args, **kwargs)
+
+    monkeypatch.setattr(segmenter, "accumulate_votes", counting)
+    code, out, err = run(
+        capsys, "significance", str(gold),
+        "--config-a", str(cfg_a), "--config-b", str(cfg_b), "--block-size", "2",
+    )
+    assert code == 1
+    assert err.startswith("error: [CONFIG] theta must lie in [0, 1]")
+    assert out == ""
+    assert calls == []
+
+
 def test_config_file_flag_precedence(tmp_path, capsys, copernicus_files):
     stream, pred = copernicus_files
     cfg = tmp_path / "seg.cfg"
@@ -658,6 +686,8 @@ def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
         (["significance", "{gold}", "--config-a", "{cfg}", "--config-b", "{cfg}",
           "--block-size", "8"], "only 1 block(s)"),
         (["classify", "{empty}", "--classifier", "replay:{gold}"], "[EMPTY_STREAM]"),
+        (["split", "{gold}", "--train-out", "{tmp}/a", "--test-out", "{tmp}/b",
+          "--fraction", "0.9"], "[TOO_FEW_UNITS] 8 sentence units at train fraction 0.9"),
     ],
     ids=[
         "split-fraction", "train-window", "train-epochs", "classify-window", "block-size",
@@ -667,7 +697,7 @@ def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
         "config-no-equals", "config-window-abc", "segmenters-unknown", "segmenters-none",
         "segmenters-empty", "classifier-no-argument", "classifier-unknown-kind",
         "pred-prefix-of-gold", "sweep-theta-abc", "significance-one-block",
-        "classify-empty-document",
+        "classify-empty-document", "split-no-test-unit",
     ],
 )
 def test_out_of_range_arguments_are_coded_errors(tmp_path, capsys, argv, named):
@@ -1010,3 +1040,25 @@ def test_a_first_word_led_by_a_byte_order_mark_is_a_coded_error_with_no_output(
     assert "Traceback" not in err
     assert out == ""
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, prefix",
+    [
+        (["--help"], 0, "stdout", "usage: puncseg"),
+        (["classify", "{tmp}/absent.tsv"], 1, "stderr", "error: "),
+        (["frobnicate"], 2, "stderr", "usage: puncseg"),
+    ],
+    ids=["help", "missing-input", "unknown-subcommand"],
+)
+def test_python_dash_m_puncseg_runs_the_cli(tmp_path, argv, code, stream, prefix):
+    import puncseg
+
+    src = str(Path(puncseg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "puncseg", *[arg.format(tmp=tmp_path) for arg in argv]],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == code
+    assert getattr(done, stream).startswith(prefix)

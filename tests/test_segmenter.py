@@ -123,6 +123,8 @@ def test_windows_read_lazily_equal_the_listed_windows(n, w, stride):
 def test_config_validation():
     with pytest.raises(ValueError):
         SegmenterConfig(window_words=0)
+    with pytest.raises(ValueError, match="stride must be positive"):
+        SegmenterConfig(stride=0)
     with pytest.raises(ValueError):
         SegmenterConfig(stride=5, window_words=3)
     with pytest.raises(ValueError):

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import puncseg
-from puncseg.errors import EncodingError, SeppConsistencyWarning, SeppParseError
+from puncseg.errors import (
+    EncodingError,
+    SeppConsistencyWarning,
+    SeppParseError,
+    UnwritableWordError,
+)
 from puncseg.sepp import (
     LabeledToken,
     PunctLabel,
@@ -132,6 +137,18 @@ def test_crlf_and_bom_word_ambiguity_is_rejected_on_write():
         ]
     )
     assert parse_sepp(write_sepp(doc)).tokens == doc.tokens
+
+
+@pytest.mark.parametrize(
+    "word", ["", "een\ttab", "een\nregel", "een\rterug"], ids=["empty", "tab", "lf", "cr"]
+)
+def test_write_refuses_a_word_the_format_cannot_hold(word):
+    doc = SeppDocument([LabeledToken("eerste", False, PunctLabel.NONE)])
+    doc.tokens.append(LabeledToken(word, False, PunctLabel.NONE))
+    with pytest.raises(UnwritableWordError) as exc_info:
+        write_sepp(doc)
+    assert exc_info.value.code == "UNWRITABLE_WORD"
+    assert isinstance(exc_info.value, ValueError)
 
 
 def _valid_tokens():

@@ -125,6 +125,13 @@ def test_truecase_model_roundtrip(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_truecase_model_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "truecase.tsv"
+    path.write_text("\nde\tde\t3\n\r\nman\tMan\t2\n\n", encoding="utf-8")
+    model = TruecaseModel.load(path)
+    assert model.counts == {"de": {"de": 3}, "man": {"Man": 2}}
+
+
 def test_extract_labels_sentence_break():
     doc = extract_labels([["zouden", "openen", "."], ["hoe", "dan", "."]])
     assert doc.tokens[1] == LabeledToken("openen", True, P)
@@ -253,6 +260,28 @@ def test_split_corpus_sentence_unit():
 def test_split_corpus_too_few_units():
     with pytest.raises(TooFewUnitsError):
         split_corpus(_docs(1), SplitSpec())
+
+
+@pytest.mark.parametrize(
+    "n, fraction, unit",
+    [
+        (0, 0.75, "document"),
+        (2, 0.75, "document"),
+        (3, 0.75, "document"),
+        (19, 0.95, "document"),
+        (3, 0.75, "sentence"),
+    ],
+)
+def test_split_corpus_leaving_no_test_unit_is_rejected(n, fraction, unit):
+    # ceil(fraction * n) == n whenever n < 1 / (1 - fraction)
+    docs = _docs(n) if unit == "document" else [SeppDocument([t for d in _docs(n) for t in d])]
+    with pytest.raises(TooFewUnitsError, match=f"{n} {unit} units at train fraction {fraction}"):
+        split_corpus(docs, SplitSpec(train_fraction=fraction, unit=unit))
+
+
+def test_split_spec_rejects_an_unknown_unit():
+    with pytest.raises(ValueError, match="unknown split unit 'page'"):
+        SplitSpec(unit="page")
 
 
 def test_split_spec_validates_fraction():
