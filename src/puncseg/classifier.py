@@ -24,6 +24,7 @@ from .errors import (
     CorruptModelError,
     EmptyTrainingSetError,
     EmptyWindowError,
+    LengthMismatchError,
     OutOfRangeError,
     VersionMismatchError,
 )
@@ -403,7 +404,7 @@ class ReplayClassifier:
 
     def __init__(self, words: list[str], labels: list[PunctLabel]):
         if len(words) != len(labels):
-            raise ValueError("words and labels must align")
+            raise LengthMismatchError("words and labels must align")
         self.labels = list(labels)
         ids = dict.fromkeys(words)
         self._width = max(1, (len(ids).bit_length() + 7) // 8)

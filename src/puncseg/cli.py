@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import metrics, segmenter, textprep
-from .classifier import ReplayClassifier, load_model, save_model, train_reference
+from .classifier import Classifier, ReplayClassifier, load_model, save_model, train_reference
 from .errors import ConfigError, TooFewUnitsError, TooShortError, ToolkitError, WordMismatchError
 from .external import ExternalAdapterConfig, ExternalClassifier
 from .sepp import (
@@ -109,16 +109,13 @@ def parse_segmenters(chars: str) -> frozenset[PunctLabel]:
 
 
 def segmenter_config(settings: dict) -> segmenter.SegmenterConfig:
-    try:
-        return segmenter.SegmenterConfig(
-            window_words=settings["window"],
-            stride=settings["stride"],
-            theta=settings["theta"],
-            segmenters=parse_segmenters(settings["segmenters"]),
-            pooling=settings["pooling"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return segmenter.SegmenterConfig(
+        window_words=settings["window"],
+        stride=settings["stride"],
+        theta=settings["theta"],
+        segmenters=parse_segmenters(settings["segmenters"]),
+        pooling=settings["pooling"],
+    )
 
 
 def make_classifier(spec: str | None):
@@ -135,13 +132,6 @@ def make_classifier(spec: str | None):
     if kind == "external":
         return ExternalClassifier(ExternalAdapterConfig(arg))
     raise ConfigError(f"unknown classifier kind {kind!r}")
-
-
-def _require_files(*paths) -> None:
-    # fail before any classifier spawn or partial output
-    for path in paths:
-        if path and not os.path.isfile(path):
-            raise FileNotFoundError(f"input file not found: {path}")
 
 
 def _emit(text: str, out_path) -> None:
@@ -171,7 +161,6 @@ def _predictions_document(
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
-    _require_files(args.input)
     lines = list(textprep.clean_lines(read_lines(args.input)))
     if not lines:
         raise TooFewUnitsError("input corpus has no usable lines")
@@ -196,7 +185,6 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    _require_files(*args.inputs)
     docs = [parse_sepp_file(p) for p in args.inputs]
     spec = textprep.SplitSpec(train_fraction=args.fraction, seed=args.seed or 0, unit=args.unit)
     train, test = textprep.split_corpus(docs, spec)
@@ -209,7 +197,6 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _require_files(*args.inputs)
     settings = resolve_settings(args)
     docs = [parse_sepp_file(p) for p in args.inputs]
     model = train_reference(
@@ -222,10 +209,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    _require_files(args.input)
     settings = resolve_settings(args)
+    words = strip_labels(parse_sepp_file(args.input))
     with make_classifier(settings["classifier"]) as classifier:
-        words = strip_labels(parse_sepp_file(args.input))
         labels = segmenter.classify_chunked(classifier, words, settings["window"])
     pred = _predictions_document(words, labels, set(), source_id=str(args.input))
     _emit(write_sepp(pred), args.out)
@@ -233,11 +219,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    _require_files(args.input)
     settings = resolve_settings(args)
     cfg = segmenter_config(settings)
+    words = [word for line in read_lines(args.input) for word in line.split()]
     with make_classifier(settings["classifier"]) as classifier:
-        words = [word for line in read_lines(args.input) for word in line.split()]
         result = segmenter.segment(words, classifier, cfg)
     text = result.to_text()
     if args.emit_sepp:  # built before any output: a word SEPP cannot hold fails here
@@ -252,7 +237,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_labels(args: argparse.Namespace) -> int:
-    _require_files(args.gold, args.pred)
     gold = parse_sepp_file(args.gold)
     pred = parse_sepp_file(args.pred)
     _check_aligned(gold, pred)
@@ -268,7 +252,6 @@ def cmd_eval_labels(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_boundaries(args: argparse.Namespace) -> int:
-    _require_files(args.gold, args.pred)
     settings = resolve_settings(args)
     seg_set = parse_segmenters(settings["segmenters"])
     gold = parse_sepp_file(args.gold)
@@ -298,14 +281,13 @@ def _parse_theta_list(raw: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _require_files(args.gold)
     settings = resolve_settings(args)
     cfg = segmenter_config(settings)
     thetas = _parse_theta_list(args.thetas)
+    gold = parse_sepp_file(args.gold)
+    words = strip_labels(gold)
+    gold_bounds = metrics.boundaries_from_document(gold, cfg.segmenters)
     with make_classifier(settings["classifier"]) as classifier:
-        gold = parse_sepp_file(args.gold)
-        words = strip_labels(gold)
-        gold_bounds = metrics.boundaries_from_document(gold, cfg.segmenters)
         votes = segmenter.accumulate_votes(words, classifier, cfg)
 
     rows = [("theta", "precision", "recall", "f1")]
@@ -318,21 +300,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _condition_scores(
-    blocks: list[SeppDocument], cfg: segmenter.SegmenterConfig, classifier_spec: str | None
+    blocks: list[SeppDocument], cfg: segmenter.SegmenterConfig, classifier: Classifier
 ) -> list[float]:
     scores = []
-    with make_classifier(classifier_spec) as classifier:
-        for block in blocks:
-            words = strip_labels(block)
-            gold_bounds = metrics.boundaries_from_document(block, cfg.segmenters)
-            votes = segmenter.accumulate_votes(words, classifier, cfg)
-            _, bounds = segmenter.decide(votes, cfg)
-            scores.append(metrics.boundary_score(gold_bounds, bounds).f1)
+    for block in blocks:
+        words = strip_labels(block)
+        gold_bounds = metrics.boundaries_from_document(block, cfg.segmenters)
+        votes = segmenter.accumulate_votes(words, classifier, cfg)
+        _, bounds = segmenter.decide(votes, cfg)
+        scores.append(metrics.boundary_score(gold_bounds, bounds).f1)
     return scores
 
 
 def cmd_significance(args: argparse.Namespace) -> int:
-    _require_files(args.gold, args.config_a, args.config_b)
     corpus = parse_sepp_file(args.gold)
     blocks = metrics.split_testfiles(corpus, args.block_size)
     if len(blocks) < 2:
@@ -340,10 +320,13 @@ def cmd_significance(args: argparse.Namespace) -> int:
 
     settings_a = resolve_settings(argparse.Namespace(config=args.config_a))
     settings_b = resolve_settings(argparse.Namespace(config=args.config_b))
-    # both configs are checked before either condition scores a block
+    # both conditions are built before either scores a block, and A is closed
+    # before B scores, so at most one external child runs at a time
     cfg_a, cfg_b = segmenter_config(settings_a), segmenter_config(settings_b)
-    scores_a = _condition_scores(blocks, cfg_a, settings_a["classifier"])
-    scores_b = _condition_scores(blocks, cfg_b, settings_b["classifier"])
+    with make_classifier(settings_b["classifier"]) as classifier_b:
+        with make_classifier(settings_a["classifier"]) as classifier_a:
+            scores_a = _condition_scores(blocks, cfg_a, classifier_a)
+        scores_b = _condition_scores(blocks, cfg_b, classifier_b)
 
     rows = [("A", metrics.summarize(scores_a)), ("B", metrics.summarize(scores_b))]
     _emit(metrics.summaries_tsv(rows), args.out)

@@ -83,7 +83,7 @@ class WindowClassifyError(ToolkitError):
         super().__init__(message or f"classifier failed in window starting at word {window_start}")
 
 
-class LengthMismatchError(ToolkitError):
+class LengthMismatchError(ToolkitError, ValueError):
     code = "LENGTH_MISMATCH"
 
 
@@ -91,7 +91,7 @@ class EmptyMatrixError(ToolkitError):
     code = "EMPTY_MATRIX"
 
 
-class OutOfRangeError(ToolkitError):
+class OutOfRangeError(ToolkitError, ValueError):
     code = "OUT_OF_RANGE"
 
 
@@ -113,7 +113,7 @@ class WordMismatchError(ToolkitError):
         super().__init__(message or f"word columns diverge at token {index}")
 
 
-class ConfigError(ToolkitError):
+class ConfigError(ToolkitError, ValueError):
     code = "CONFIG"
 
 

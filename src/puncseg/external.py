@@ -21,12 +21,13 @@ import shlex
 import subprocess
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import filterfalse
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     AdapterTimeoutError,
+    ConfigError,
     EmptyWindowError,
     ProcessDiedError,
     ProtocolLabelError,
@@ -55,12 +56,20 @@ class ExternalAdapterConfig:
     command: str
     timeout: float = 30.0
     max_window_words: int | None = 200
+    argv: tuple[str, ...] = field(init=False, repr=False)  # ``command`` split as a shell would
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+            raise ConfigError("timeout must be positive")
         if self.max_window_words is not None and self.max_window_words < 1:
-            raise ValueError("max_window_words must be at least 1")
+            raise ConfigError("max_window_words must be at least 1")
+        try:
+            argv = shlex.split(self.command)
+        except ValueError as exc:
+            raise ConfigError(f"external command {self.command!r}: {exc}") from None
+        if not argv:
+            raise ConfigError("external command is empty")
+        object.__setattr__(self, "argv", tuple(argv))
 
 
 class ExternalClassifier:
@@ -86,7 +95,7 @@ class ExternalClassifier:
     def _spawn(self) -> None:
         """Start a child and queue every request still awaiting a reply, in order."""
         self._proc = subprocess.Popen(
-            shlex.split(self.config.command),
+            self.config.argv,
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             bufsize=0,

@@ -147,7 +147,7 @@ def boundaries_from_document(doc: SeppDocument, segmenters: Iterable[PunctLabel]
 def split_testfiles(corpus: SeppDocument, sentences_per_file: int) -> list[SeppDocument]:
     """Cut the corpus into consecutive blocks of exactly N sentences; drop the tail."""
     if sentences_per_file < 1:
-        raise ValueError("sentences_per_file must be positive")
+        raise OutOfRangeError("sentences_per_file must be positive")
     sentences = corpus.sentences()
     if len(sentences) < sentences_per_file:
         raise TooShortError(

@@ -21,7 +21,7 @@ from itertools import tee
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .classifier import LABELS, N_LABELS, Classifier
-from .errors import EmptyStreamError, WindowClassifyError
+from .errors import ConfigError, EmptyStreamError, OutOfRangeError, WindowClassifyError
 from .sepp import DEFAULT_SEGMENTERS, PunctLabel
 
 
@@ -37,19 +37,19 @@ class SegmenterConfig:
 
     def __post_init__(self) -> None:
         if self.window_words < 1:
-            raise ValueError("window_words must be positive")
+            raise ConfigError("window_words must be positive")
         if self.stride < 1:
-            raise ValueError("stride must be positive")
+            raise ConfigError("stride must be positive")
         if self.stride > self.window_words:
-            raise ValueError("stride must not exceed window_words")
+            raise ConfigError("stride must not exceed window_words")
         if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
+            raise ConfigError("theta must lie in [0, 1]")
         if not self.segmenters:
-            raise ValueError("segmenters must not be empty")
+            raise ConfigError("segmenters must not be empty")
         if PunctLabel.NONE in self.segmenters:
-            raise ValueError("NONE cannot segment")
+            raise ConfigError("NONE cannot segment")
         if self.pooling not in ("per_class", "pooled"):
-            raise ValueError(f"unknown pooling mode {self.pooling!r}")
+            raise ConfigError(f"unknown pooling mode {self.pooling!r}")
         object.__setattr__(self, "segmenters", frozenset(self.segmenters))
 
 
@@ -101,6 +101,8 @@ def classify_chunked(
     """Label ``words`` in calls of at most min(window_words, classifier limit) words."""
     if not words:
         raise EmptyStreamError("cannot classify an empty document")
+    if window_words < 1:
+        raise OutOfRangeError(f"window_words {window_words} must be at least 1")
     calls = _announced_calls(classifier, [Window(0, words)], len(words), window_words)
     return [label for at, chunk in calls for label in _classify(classifier, chunk, at)]
 

@@ -13,7 +13,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .errors import CorruptModelError, EmptyCorpusError, EmptySentenceWarning, TooFewUnitsError
+from .errors import (
+    ConfigError, CorruptModelError, EmptyCorpusError, EmptySentenceWarning, TooFewUnitsError
+)
 from .sepp import LabeledToken, PunctLabel, SeppDocument, atomic_write, read_lines
 
 #: Characters split off as standalone tokens.
@@ -213,9 +215,9 @@ class SplitSpec:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
+            raise ConfigError("train_fraction must lie strictly between 0 and 1")
         if self.unit not in ("document", "sentence"):
-            raise ValueError(f"unknown split unit {self.unit!r}")
+            raise ConfigError(f"unknown split unit {self.unit!r}")
 
 
 def split_corpus(

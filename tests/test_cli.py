@@ -480,7 +480,6 @@ def test_significance_rejects_condition_b_settings_before_scoring(tmp_path, caps
     cfg_a = tmp_path / "a.cfg"
     cfg_a.write_text(f"classifier = replay:{gold}\nsegmenters = .\n", encoding="utf-8")
     cfg_b = tmp_path / "b.cfg"
-    cfg_b.write_text(f"classifier = replay:{gold}\ntheta = 2\n", encoding="utf-8")
     calls = []
     accumulate_votes = segmenter.accumulate_votes
 
@@ -489,14 +488,21 @@ def test_significance_rejects_condition_b_settings_before_scoring(tmp_path, caps
         return accumulate_votes(*args, **kwargs)
 
     monkeypatch.setattr(segmenter, "accumulate_votes", counting)
-    code, out, err = run(
-        capsys, "significance", str(gold),
-        "--config-a", str(cfg_a), "--config-b", str(cfg_b), "--block-size", "2",
-    )
-    assert code == 1
-    assert err.startswith("error: [CONFIG] theta must lie in [0, 1]")
-    assert out == ""
-    assert calls == []
+    absent = tmp_path / "absent.tsv"
+    not_found = f"error: [Errno 2] No such file or directory: '{absent}'"
+    for settings_b, error in [
+        (f"classifier = replay:{gold}\ntheta = 2\n", "error: [CONFIG] theta must lie in [0, 1]"),
+        (f"classifier = replay:{absent}\n", not_found),
+    ]:
+        cfg_b.write_text(settings_b, encoding="utf-8")
+        code, out, err = run(
+            capsys, "significance", str(gold),
+            "--config-a", str(cfg_a), "--config-b", str(cfg_b), "--block-size", "2",
+        )
+        assert code == 1
+        assert err.startswith(error)
+        assert out == ""
+        assert calls == []
 
 
 def test_config_file_flag_precedence(tmp_path, capsys, copernicus_files):
@@ -616,13 +622,63 @@ def test_missing_input_fails_before_any_output(tmp_path, capsys):
     out = tmp_path / "out.tsv"
     code, _, err = run(capsys, "prepare", str(missing), "--out", str(out))
     assert code == 1
-    assert "not found" in err
+    assert err.startswith("error: ")
+    assert str(missing) in err
     assert not out.exists()
+    # the input is read before the classifier opens, so the error names the input
     code, _, err = run(
-        capsys, "segment", str(missing), "--classifier", "replay:also-missing.tsv"
+        capsys, "segment", str(missing), "--classifier", "replay:also-missing.tsv",
+        "--out", str(out),
     )
     assert code == 1
-    assert "not found" in err
+    assert err.startswith("error: ")
+    assert str(missing) in err
+    assert "also-missing.tsv" not in err
+    assert not out.exists()
+
+
+def test_significance_builds_both_classifiers_and_closes_a_before_b_classifies(
+    tmp_path, capsys, monkeypatch
+):
+    from puncseg import cli
+
+    gold, pred_b = _toy_significance_corpus(tmp_path)
+    cfg_a = tmp_path / "a.cfg"
+    cfg_a.write_text(f"classifier = replay:{gold}\nsegmenters = .\n", encoding="utf-8")
+    cfg_b = tmp_path / "b.cfg"
+    cfg_b.write_text(f"classifier = replay:{pred_b}\nsegmenters = .\n", encoding="utf-8")
+    events = []
+    make_classifier = cli.make_classifier
+
+    class Recording:
+        def __init__(self, name, classifier):
+            self.name, self.classifier = name, classifier
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            events.append(("close", self.name))
+
+        def classify(self, words):
+            events.append(("classify", self.name))
+            return self.classifier.classify(words)
+
+    def recording(spec):
+        name = "A" if spec == f"replay:{gold}" else "B"
+        events.append(("build", name))
+        with make_classifier(spec) as classifier:
+            return Recording(name, classifier)
+
+    monkeypatch.setattr(cli, "make_classifier", recording)
+    code, _, _ = run(
+        capsys, "significance", str(gold),
+        "--config-a", str(cfg_a), "--config-b", str(cfg_b), "--block-size", "2",
+    )
+    assert code == 0
+    steps = [e for i, e in enumerate(events) if i == 0 or e != events[i - 1]]
+    assert sorted(steps[:2]) == [("build", "A"), ("build", "B")]
+    assert steps[2:] == [("classify", "A"), ("close", "A"), ("classify", "B"), ("close", "B")]
 
 
 def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
@@ -688,6 +744,10 @@ def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
         (["classify", "{empty}", "--classifier", "replay:{gold}"], "[EMPTY_STREAM]"),
         (["split", "{gold}", "--train-out", "{tmp}/a", "--test-out", "{tmp}/b",
           "--fraction", "0.9"], "[TOO_FEW_UNITS] 8 sentence units at train fraction 0.9"),
+        (["classify", "{gold}", "--classifier", "external:   ", "--out", "{tmp}/pred.tsv"],
+         "[CONFIG] external command is empty"),
+        (["classify", "{gold}", "--classifier", 'external:"open', "--out", "{tmp}/pred.tsv"],
+         "[CONFIG] external command '\"open': No closing quotation"),
     ],
     ids=[
         "split-fraction", "train-window", "train-epochs", "classify-window", "block-size",
@@ -697,7 +757,7 @@ def test_output_files_written_atomically(tmp_path, capsys, copernicus_files):
         "config-no-equals", "config-window-abc", "segmenters-unknown", "segmenters-none",
         "segmenters-empty", "classifier-no-argument", "classifier-unknown-kind",
         "pred-prefix-of-gold", "sweep-theta-abc", "significance-one-block",
-        "classify-empty-document", "split-no-test-unit",
+        "classify-empty-document", "split-no-test-unit", "external-blank", "external-open-quote",
     ],
 )
 def test_out_of_range_arguments_are_coded_errors(tmp_path, capsys, argv, named):
@@ -1043,22 +1103,38 @@ def test_a_first_word_led_by_a_byte_order_mark_is_a_coded_error_with_no_output(
 
 
 @pytest.mark.parametrize(
-    "argv, code, stream, prefix",
+    "argv, stdin, code, stream, prefix",
     [
-        (["--help"], 0, "stdout", "usage: puncseg"),
-        (["classify", "{tmp}/absent.tsv"], 1, "stderr", "error: "),
-        (["frobnicate"], 2, "stderr", "usage: puncseg"),
+        (["--help"], None, 0, "stdout", "usage: puncseg"),
+        (["classify", "{tmp}/absent.tsv"], None, 1, "stderr", "error: "),
+        (["frobnicate"], None, 2, "stderr", "usage: puncseg"),
+        (
+            ["segment", "/dev/stdin", "--classifier", "replay:{tmp}/gold.tsv", "--window", "2"],
+            "a b c d\n", 0, "stdout", "a b.\nc d.\n",
+        ),
     ],
-    ids=["help", "missing-input", "unknown-subcommand"],
+    ids=["help", "missing-input", "unknown-subcommand", "segment-piped-stdin"],
 )
-def test_python_dash_m_puncseg_runs_the_cli(tmp_path, argv, code, stream, prefix):
+def test_python_dash_m_puncseg_runs_the_cli(tmp_path, argv, stdin, code, stream, prefix):
     import puncseg
 
     src = str(Path(puncseg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "puncseg", *[arg.format(tmp=tmp_path) for arg in argv]],
-        env=env, capture_output=True, text=True,
-    )
+    write_sepp_file(document_for(["a", "b", "c", "d"], {1: P, 3: P}), tmp_path / "gold.tsv")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+
+    def puncseg_run(args, stdin=None):
+        return subprocess.run(
+            [sys.executable, "-m", "puncseg", *args],
+            env=env, input=stdin, capture_output=True, text=True,
+        )
+
+    done = puncseg_run(argv, stdin)
     assert done.returncode == code
     assert getattr(done, stream).startswith(prefix)
+    if stdin is not None:  # a pipe reads as the same words in a regular file
+        words = tmp_path / "words.txt"
+        words.write_text(stdin, encoding="utf-8")
+        from_file = puncseg_run([str(words) if a == "/dev/stdin" else a for a in argv])
+        assert from_file.returncode == 0
+        assert done.stdout == from_file.stdout

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from corpora import template_corpus
 from oracles import HashClassifier, brute_force_render, brute_force_segment, brute_force_votes
 from puncseg.classifier import LABELS, train_reference
-from puncseg.errors import EmptyStreamError, WindowClassifyError
+from puncseg.errors import EmptyStreamError, OutOfRangeError, WindowClassifyError
 from puncseg.external import _IN_FLIGHT
 from puncseg.sepp import PunctLabel
 from puncseg.segmenter import (
@@ -614,6 +614,14 @@ def test_classify_chunked_rejects_an_empty_document_before_any_call(trained):
     counting = Counting(trained)
     with pytest.raises(EmptyStreamError):
         classify_chunked(counting, [], 20)
+    assert counting.calls == []
+
+
+@pytest.mark.parametrize("window_words", [0, -1])
+def test_classify_chunked_rejects_a_window_below_one_before_any_call(trained, window_words):
+    counting = Counting(trained)
+    with pytest.raises(OutOfRangeError, match="must be at least 1"):
+        classify_chunked(counting, ["een", "twee", "drie"], window_words)
     assert counting.calls == []
 
 
