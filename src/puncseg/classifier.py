@@ -13,7 +13,6 @@ adapter for external models lives in :mod:`puncseg.external`.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 import struct
 import zlib
@@ -166,16 +165,20 @@ _ZERO_ROW = (0.0,) * N_LABELS
 def _scores(weights: dict[int, Sequence[float]], ids: Iterable[int]) -> list[float]:
     """Per-label sum of the weight rows of ``ids``, added in ``ids`` order.
 
-    The chained ``map`` objects run when the list is built, still adding
-    each label's rows left to right; ``sum()`` would differ in the last
-    bits, as it compensates from CPython 3.12.
+    One float local per label of the six-label alphabet: each starts at
+    0.0 and adds its label's rows left to right, and ids with no row add
+    nothing.  ``sum()`` would differ in the last bits, as it compensates
+    from CPython 3.12.
     """
-    scores: Iterable[float] = _ZERO_ROW
-    for fid in ids:
-        row = weights.get(fid)
-        if row is not None:
-            scores = map(operator.add, scores, row)
-    return list(scores)
+    s0 = s1 = s2 = s3 = s4 = s5 = 0.0
+    for r0, r1, r2, r3, r4, r5 in filter(None, map(weights.get, ids)):
+        s0 += r0
+        s1 += r1
+        s2 += r2
+        s3 += r3
+        s4 += r4
+        s5 += r5
+    return [s0, s1, s2, s3, s4, s5]
 
 
 class LinearModel:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import select
 import shlex
+import shutil
 import subprocess
 import time
 from collections import deque
@@ -91,6 +92,9 @@ class ExternalClassifier:
         self._ahead: Iterator[Sequence[str]] | None = None  # announced windows not yet read
         self._out = b""  # request bytes the child has not taken yet
         self._pending = b""  # what the child wrote past the last reply taken
+        # checked after the attributes are set, so that ``__del__`` finds them
+        if shutil.which(config.argv[0]) is None:
+            raise ConfigError(f"external program {config.argv[0]!r} not found")
 
     def _spawn(self) -> None:
         """Start a child and queue every request still awaiting a reply, in order."""

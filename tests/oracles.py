@@ -45,6 +45,19 @@ def brute_force_context_ids(prev, cur, nxt, nxt2, bucket, is_last):
     return tuple(zlib.crc32(f.encode("utf-8")) & (FEATURE_SPACE - 1) for f in features)
 
 
+def brute_force_scores(weights, ids):
+    """Each label's score, added in place row by row in ``ids`` order.
+
+    An id with no row adds nothing."""
+    scores = [0.0] * len(LABELS)
+    for fid in ids:
+        row = weights.get(fid)
+        if row is not None:
+            for c in range(len(LABELS)):
+                scores[c] += row[c]
+    return scores
+
+
 def brute_force_votes(stream, classifier, window_words, stride):
     """Enumerate windows explicitly and tally votes into plain dicts."""
     n = len(stream)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import template_corpus
-from oracles import brute_force_context_ids
+from oracles import brute_force_context_ids, brute_force_scores
 from puncseg.classifier import (
     FEATURE_SPACE,
     LABELS,
@@ -475,27 +475,42 @@ def test_context_ids_match_the_string_built_oracle(words):
             assert _context_ids(*key) == brute_force_context_ids(*key)
 
 
-def _loop_scores(weights, ids):
-    """The in-place per-label loop: the summation order ``_scores`` must keep."""
-    scores = [0.0] * N_LABELS
-    for fid in ids:
-        row = weights.get(fid)
-        if row is not None:
-            for c in range(N_LABELS):
-                scores[c] += row[c]
-    return scores
-
-
 def test_scores_add_rows_bit_for_bit_like_the_in_place_loop():
-    rng = random.Random(5)
     values = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.1, -2.5, 3.0]
-    weights = {fid: [rng.choice(values) for _ in range(N_LABELS)] for fid in range(12)}
-    weights[12] = [-0.0] * N_LABELS
-    for _ in range(3000):
-        ids = [rng.randrange(16) for _ in range(rng.randrange(11))]  # ids 13 to 15 have no row
-        got = _scores(weights, ids)
-        assert [s.hex() for s in got] == [s.hex() for s in _loop_scores(weights, ids)]
-    assert [s.hex() for s in _scores(weights, [12, 15])] == ["0x0.0p+0"] * N_LABELS
+    for rows in (list, tuple):  # training adds list rows, load_model builds tuple rows
+        rng = random.Random(5)
+        weights = {fid: rows(rng.choice(values) for _ in range(N_LABELS)) for fid in range(12)}
+        weights[12] = rows([-0.0] * N_LABELS)
+        for _ in range(3000):
+            ids = [rng.randrange(16) for _ in range(rng.randrange(11))]  # 13 to 15 have no row
+            got = _scores(weights, ids)
+            assert [s.hex() for s in got] == [s.hex() for s in brute_force_scores(weights, ids)]
+        assert [s.hex() for s in _scores(weights, [12, 15])] == ["0x0.0p+0"] * N_LABELS
+        # one score per label, whether or not any id has a row
+        assert len(_scores(weights, [])) == N_LABELS
+        assert len(_scores(weights, [13, 14, 15])) == N_LABELS
+
+
+_WEIGHT_VALUES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_ODD_WORDS), st.text(max_size=6)), min_size=1, max_size=12
+    ),
+    st.data(),
+)
+def test_classify_takes_the_first_argmax_of_the_oracle_scores(window, data):
+    keys = _window_keys(window)
+    ids = sorted({fid for key in keys for fid in brute_force_context_ids(*key)})
+    row = st.tuples(*[st.sampled_from(_WEIGHT_VALUES)] * N_LABELS)
+    weights = {fid: data.draw(row) for fid in ids if data.draw(st.booleans())}  # some have none
+    want = []
+    for key in keys:
+        scores = brute_force_scores(weights, brute_force_context_ids(*key))
+        want.append(LABELS[scores.index(max(scores))])
+    assert LinearModel(weights).classify(window) == want
 
 
 @pytest.mark.parametrize("first, second", [(1, 2), (2, N_LABELS - 1), (0, 3)])
@@ -527,7 +542,7 @@ def test_word_id_memo_stays_bounded_and_labels_match_the_oracle(monkeypatch):
         assert len(classifier._WORD_IDS) <= 50
         want = []
         for key in _window_keys(window):
-            scores = _loop_scores(model.weights, brute_force_context_ids(*key))
+            scores = brute_force_scores(model.weights, brute_force_context_ids(*key))
             want.append(LABELS[scores.index(max(scores))])
         assert got == want
     assert len(seen) > 4 * 50

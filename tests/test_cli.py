@@ -493,6 +493,10 @@ def test_significance_rejects_condition_b_settings_before_scoring(tmp_path, caps
     for settings_b, error in [
         (f"classifier = replay:{gold}\ntheta = 2\n", "error: [CONFIG] theta must lie in [0, 1]"),
         (f"classifier = replay:{absent}\n", not_found),
+        (
+            "classifier = external:no-such-program-xyz\n",
+            "error: [CONFIG] external program 'no-such-program-xyz' not found",
+        ),
     ]:
         cfg_b.write_text(settings_b, encoding="utf-8")
         code, out, err = run(
@@ -634,6 +638,19 @@ def test_missing_input_fails_before_any_output(tmp_path, capsys):
     assert err.startswith("error: ")
     assert str(missing) in err
     assert "also-missing.tsv" not in err
+    assert not out.exists()
+
+
+def test_external_program_not_on_path_fails_before_any_output(tmp_path, capsys, copernicus_files):
+    stream, _ = copernicus_files
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(
+        capsys, "segment", str(stream), "--classifier", "external:no-such-program-xyz",
+        "--out", str(out),
+    )
+    assert code == 1
+    assert err.startswith("error: [CONFIG] external program 'no-such-program-xyz' not found")
+    assert stdout == ""
     assert not out.exists()
 
 

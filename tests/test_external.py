@@ -12,6 +12,7 @@ import pytest
 from puncseg import external
 from puncseg.errors import (
     AdapterTimeoutError,
+    ConfigError,
     EmptyWindowError,
     ProcessDiedError,
     ProtocolLabelError,
@@ -345,6 +346,19 @@ def test_max_window_words_below_one_rejected(limit):
         ExternalAdapterConfig("cmd", max_window_words=limit)
     assert ExternalAdapterConfig("cmd", max_window_words=None).max_window_words is None
     assert ExternalAdapterConfig("cmd", max_window_words=1).max_window_words == 1
+
+
+@pytest.mark.parametrize(
+    "command, program",
+    [("no-such-program-xyz", "no-such-program-xyz"), ("./no-such-xyz --flag", "./no-such-xyz")],
+)
+def test_a_program_not_on_path_is_a_config_error_at_construction(command, program):
+    with pytest.raises(ConfigError) as exc_info:
+        ExternalClassifier(ExternalAdapterConfig(command))
+    assert exc_info.value.code == "CONFIG"
+    assert str(exc_info.value) == f"external program {program!r} not found"
+    del exc_info  # its traceback holds the half-built object, whose ``__del__`` must stay quiet
+    gc.collect()
 
 
 # Requests in flight: ``expect`` announces the windows of the next calls,
