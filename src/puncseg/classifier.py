@@ -55,8 +55,12 @@ class Classifier(Protocol):
     ``context_words = k`` (a positive int) promises that the label at
     offset ``j`` of a ``w``-word window depends only on
     ``window[j-k : j+k+1]``, ``min(j, k)`` and ``min(w-1-j, k)``.  The
-    segmenter then classifies only the edges of most windows and shares
-    the labels of their interiors; a wrong declaration gives wrong votes.
+    segmenter then classifies only the ``2k``-word edges of most windows,
+    each edge slice once although it is the tail of one window and the
+    head of another, and shares the labels of their interiors; a wrong
+    declaration gives wrong votes.  Either capability, when present and
+    not ``None``, must be an int of at least 1, or the segmenter raises
+    ConfigError before any call.
 
     ``expect(windows)`` is a method taking an iterable of windows: the
     next ``classify`` calls will be for these windows, in this order.  The
@@ -99,7 +103,8 @@ def _hash(feature: str) -> int:
 #: Words ``_word_ids`` holds before its memo is emptied.  Ids depend on the
 #: word alone, so one memo serves every model and training, and no result
 #: depends on what it holds.  A full memo takes about 18 MiB (290 bytes a
-#: word) besides the words themselves.
+#: word) besides the words themselves.  Each LinearModel's word -> rows
+#: memo has the same bound.
 _WORD_IDS_MAX = 1 << 16
 _WORD_IDS: dict[str, tuple[int, ...]] = {}
 
@@ -131,7 +136,7 @@ def _context_ids(
 ) -> tuple[int, ...]:
     """The 8 feature ids of a context, in the order ``w, p, n, nn, l, s, b, last``.
 
-    :func:`_scores` adds weight rows in this order, so it is part of
+    Scoring adds weight rows in this order, so it is part of
     ``TEMPLATE_VERSION`` like the feature strings themselves.
     """
     w, _, _, _, lower, shape = _word_ids(cur)
@@ -163,15 +168,19 @@ _ZERO_ROW = (0.0,) * N_LABELS
 
 
 def _scores(weights: dict[int, Sequence[float]], ids: Iterable[int]) -> list[float]:
-    """Per-label sum of the weight rows of ``ids``, added in ``ids`` order.
+    """Per-label sum of the weight rows of ``ids``, added in ``ids`` order."""
+    return _sum_rows(map(weights.get, ids))
+
+
+def _sum_rows(rows: Iterable[Sequence[float] | None]) -> list[float]:
+    """Per-label sum of ``rows``, added in order; a ``None`` row adds nothing.
 
     One float local per label of the six-label alphabet: each starts at
-    0.0 and adds its label's rows left to right, and ids with no row add
-    nothing.  ``sum()`` would differ in the last bits, as it compensates
-    from CPython 3.12.
+    0.0 and adds its label's rows left to right.  ``sum()`` would differ
+    in the last bits, as it compensates from CPython 3.12.
     """
     s0 = s1 = s2 = s3 = s4 = s5 = 0.0
-    for r0, r1, r2, r3, r4, r5 in filter(None, map(weights.get, ids)):
+    for r0, r1, r2, r3, r4, r5 in filter(None, rows):
         s0 += r0
         s1 += r1
         s2 += r2
@@ -185,12 +194,15 @@ class LinearModel:
     """Averaged linear per-token classifier over hashed features.
 
     Instances are immutable once built; a bounded context -> label cache
-    makes repeated sliding-window calls cheap.  Each weight row is a
-    tuple of floats, which the cyclic garbage collector stops tracking,
-    so a model's rows neither add to a full collection's work nor bring
-    one on sooner.  A label reads words
-    ``j-1 .. j+2``, the offset bucket capped at 4 and ``is_last``, so four
-    words of context on each side decide it.
+    makes repeated sliding-window calls cheap.  A context the cache
+    misses is scored from the weight rows of its words, which a second
+    bounded memo keeps per word: the rows of the word's six feature ids,
+    ``None`` where the model has no row, so each word's ids are hashed
+    and looked up once.  Each weight row is a tuple of floats, which the
+    cyclic garbage collector stops tracking, so a model's rows neither
+    add to a full collection's work nor bring one on sooner.  A label
+    reads words ``j-1 .. j+2``, the offset bucket capped at 4 and
+    ``is_last``, so four words of context on each side decide it.
     """
 
     name = "linear"
@@ -201,18 +213,37 @@ class LinearModel:
         self.seed = seed
         self.epochs = epochs
         self._label_cache: dict[tuple, int] = {}
+        self._word_rows: dict[str, tuple] = {}
+        self._bucket_rows = {bucket: weights.get(fid) for bucket, fid in _BUCKET_IDS.items()}
+        self._last_rows = tuple(map(weights.get, _LAST_IDS))
+
+    def _rows(self, word: str) -> tuple:
+        """The weight rows of ``word``'s ``w, p, n, nn, l, s`` ids, ``None`` where there is none."""
+        rows = self._word_rows.get(word)
+        if rows is None:
+            if len(self._word_rows) >= _WORD_IDS_MAX:
+                self._word_rows.clear()
+            rows = self._word_rows[word] = tuple(map(self.weights.get, _word_ids(word)))
+        return rows
 
     def classify(self, window: Sequence[str]) -> list[PunctLabel]:
         if not window:
             raise EmptyWindowError("classify needs at least one word")
         cache = self._label_cache
+        rows = self._rows
         out: list[PunctLabel] = []
         for key in _window_keys(window):
             idx = cache.get(key)
             if idx is None:
                 if len(cache) >= _LABEL_CACHE_MAX:
                     cache.clear()
-                scores = _scores(self.weights, _context_ids(*key))
+                prev, cur, nxt, nxt2, bucket, is_last = key
+                w, _, _, _, lower, shape = rows(cur)
+                # the rows of _context_ids(*key), in its order
+                scores = _sum_rows((
+                    w, rows(prev)[1], rows(nxt)[2], rows(nxt2)[3], lower, shape,
+                    self._bucket_rows[bucket], self._last_rows[is_last],
+                ))
                 # the first maximum: ties go to the earlier label
                 idx = cache[key] = scores.index(max(scores))
             out.append(LABELS[idx])

@@ -10,12 +10,16 @@ A classifier that declares ``context_words = k`` labels a word in a
 window's interior (``k`` or more words from either edge) the same way in
 every window, so only the ``k``-word edges of most windows are
 classified, and each word's interior label is counted once, weighted by
-the number of windows whose interior holds it.  The vote table is the
-same as when every window is classified in full.
+the number of windows whose interior holds it.  An edge is labelled from
+its ``2k`` words, and the ``2k`` words that label one window's tail
+label the head of the window ``w - 2k`` words later, so that one call
+serves both.  The vote table is the same as when every window is
+classified in full.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import tee
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -103,20 +107,37 @@ def classify_chunked(
         raise EmptyStreamError("cannot classify an empty document")
     if window_words < 1:
         raise OutOfRangeError(f"window_words {window_words} must be at least 1")
-    calls = _announced_calls(classifier, [Window(0, words)], len(words), window_words)
+    limit, _ = _capabilities(classifier)
+    calls = _announced_calls(classifier, [Window(0, words)], len(words), window_words, limit)
     return [label for at, chunk in calls for label in _classify(classifier, chunk, at)]
 
 
+def _capabilities(classifier: Classifier) -> tuple[int | None, int | None]:
+    """The classifier's ``max_window_words`` and ``context_words``.
+
+    Each must be ``None`` (or absent) or an int of at least 1; anything
+    else raises ConfigError, before any call.
+    """
+    limit = getattr(classifier, "max_window_words", None)
+    k = getattr(classifier, "context_words", None)
+    for name, value in (("max_window_words", limit), ("context_words", k)):
+        if value is not None and (type(value) is not int or value < 1):
+            raise ConfigError(
+                f"classifier {name} must be None or an int of at least 1, not {value!r}"
+            )
+    return limit, k
+
+
 def _announced_calls(
-    classifier: Classifier, wins: Iterable[Window], width: int, window_words: int
+    classifier: Classifier, wins: Iterable[Window], width: int, window_words: int,
+    limit: int | None,
 ) -> Iterable[Window]:
     """The calls that label ``wins``, windows of ``width`` words, in order.
 
-    Each call is at most min(window_words, classifier limit) words.  A
-    classifier that can ``expect`` is told every call's words in order
-    before the first, as an iterable it reads as far ahead as it needs.
+    Each call is at most min(window_words, ``limit``) words.  A classifier
+    that can ``expect`` is told every call's words in order before the
+    first, as an iterable it reads as far ahead as it needs.
     """
-    limit = getattr(classifier, "max_window_words", None)
     size = window_words if limit is None else min(window_words, limit)
     calls = wins
     if width > size:
@@ -164,14 +185,12 @@ def accumulate_votes(
     """
     counts = [[0] * N_LABELS for _ in range(len(stream))]
     wins = windows(stream, cfg)
+    limit, k = _capabilities(classifier)
     w = cfg.window_words
-    if len(wins) > 1:
-        k = getattr(classifier, "context_words", None)
-        limit = getattr(classifier, "max_window_words", None)
-        if k and 2 * k < w and (limit is None or limit >= w):
-            _shared_interior_votes(counts, wins.stream, wins.starts, classifier, w, k)
-            return counts
-    for at, chunk in _announced_calls(classifier, wins, min(len(stream), w), w):
+    if len(wins) > 1 and k and 2 * k < w and (limit is None or limit >= w):
+        _shared_interior_votes(counts, wins.stream, wins.starts, classifier, w, k)
+        return counts
+    for at, chunk in _announced_calls(classifier, wins, min(len(stream), w), w, limit):
         _vote(counts, at, _classify(classifier, chunk, at))
     return counts
 
@@ -196,12 +215,19 @@ def _shared_interior_votes(
     misses a word of its own that no earlier full window labelled.  Every
     window votes its head and tail; a full window also votes the interior
     label of each word it labels first, once, weighted by the number of
-    window starts whose interior holds that word.  Every call's words are
+    window starts whose interior holds that word.  The tail call of a
+    window at ``s`` classifies the same ``2k`` words as the head call of
+    a window at ``s+w-2k``, so its labels wait in a FIFO and serve that
+    head when the walk reaches it; entries the walk passes are dropped,
+    so at most ``(w-2k)/step + 1`` are live.  Every call's words are
     sliced from the stream as the call is made.
     """
     known = 0  # every word before this one has had its interior votes cast
     last, step = starts[-1], starts.step
+    tails: deque[tuple[int, list[PunctLabel]]] = deque()  # (start, labels) of tail calls
     for s in starts:
+        while tails and tails[0][0] < s:
+            tails.popleft()
         first_unknown = max(known, s + k)
         stop = s + w - k
         next_inner = s + step + k if s < last else len(counts)
@@ -214,8 +240,12 @@ def _shared_interior_votes(
                 counts[p][head[p - s].index] += held
             known = stop
         else:
-            head = _classify(classifier, stream[s : s + 2 * k], s)
+            if tails and tails[0][0] == s:
+                head = tails.popleft()[1]
+            else:
+                head = _classify(classifier, stream[s : s + 2 * k], s)
             tail = _classify(classifier, stream[stop - k : s + w], stop - k)
+            tails.append((stop - k, tail))
         _vote(counts, s, head[:k])
         _vote(counts, stop, tail[k:])
 

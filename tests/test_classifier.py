@@ -546,3 +546,27 @@ def test_word_id_memo_stays_bounded_and_labels_match_the_oracle(monkeypatch):
             want.append(LABELS[scores.index(max(scores))])
         assert got == want
     assert len(seen) > 4 * 50
+
+
+def test_word_row_memo_stays_bounded_and_labels_match_the_oracle_after_a_clear(monkeypatch):
+    from puncseg import classifier
+
+    monkeypatch.setattr(classifier, "_WORD_IDS_MAX", 50)
+    model = train_reference([template_corpus(200, seed=3)], epochs=2, seed=0)
+    rng = random.Random(10)
+    vocab = sorted({t.word for t in template_corpus(50, seed=1).tokens})
+    vocab += [f"w{i}" for i in range(300)]
+    clears = 0
+    for _ in range(60):
+        window = [rng.choice(vocab) for _ in range(rng.randrange(1, 30))]
+        model._label_cache.clear()  # score every context from the row memo
+        before = len(model._word_rows)
+        got = model.classify(window)
+        assert len(model._word_rows) <= 50
+        clears += len(model._word_rows) < before
+        want = []
+        for key in _window_keys(window):
+            scores = brute_force_scores(model.weights, brute_force_context_ids(*key))
+            want.append(LABELS[scores.index(max(scores))])
+        assert got == want
+    assert clears >= 3

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from corpora import template_corpus
 from oracles import HashClassifier, brute_force_render, brute_force_segment, brute_force_votes
 from puncseg.classifier import LABELS, train_reference
-from puncseg.errors import EmptyStreamError, OutOfRangeError, WindowClassifyError
+from puncseg.errors import ConfigError, EmptyStreamError, OutOfRangeError, WindowClassifyError
 from puncseg.external import _IN_FLIGHT
 from puncseg.sepp import PunctLabel
 from puncseg.segmenter import (
@@ -563,6 +563,70 @@ def test_declared_context_with_a_small_call_limit_takes_the_chunked_generic_path
     assert votes == generic
 
 
+class Slices(Counting):
+    """Records each call's words; labels the stand-in word ``w{i}`` as the model labels ``base[i]``.
+
+    With a stream of distinct stand-ins, every call's slice can be told apart.
+    """
+
+    def __init__(self, inner, base, **capabilities):
+        super().__init__(inner, **capabilities)
+        self.base = base
+        self.slices = []
+
+    def classify(self, window):
+        self.slices.append(tuple(window))
+        return super().classify([self.base[int(word[1:])] for word in window])
+
+
+@pytest.mark.parametrize("stride", [1, 4, 5])  # W - 2k = 32: 4 divides it, 5 does not
+def test_window_invariant_path_classifies_each_edge_slice_once(trained, stride):
+    n, w, k = 300, 40, trained.context_words
+    base = _random_stream(random.Random(16), n)
+    stream = _stream(n)
+    cfg = SegmenterConfig(window_words=w, stride=stride)
+    shared = Slices(trained, base, context_words=k)
+    votes = accumulate_votes(stream, shared, cfg)
+    assert votes == accumulate_votes(stream, Slices(trained, base), cfg)
+    assert votes == accumulate_votes(base, trained, cfg)
+    spans = [(int(words[0][1:]), len(words)) for words in shared.slices]
+    assert len(set(spans)) == len(spans)  # no slice is classified twice
+    full = {at for at, size in spans if size == w}
+    edged = [s for s in range(0, n - w + 1, stride) if s not in full]
+    edges = {(s, 2 * k) for s in edged} | {(s + w - 2 * k, 2 * k) for s in edged}
+    assert set(spans) == {(s, w) for s in full} | edges
+    # a head is shared only when the stride divides W - 2k
+    if (w - 2 * k) % stride:
+        assert len(spans) == len(full) + 2 * len(edged)
+    else:
+        assert len(spans) < len(full) + 2 * len(edged)
+
+
+_BAD_CAPABILITIES = [
+    ("max_window_words", -3),
+    ("max_window_words", 0),
+    ("max_window_words", 2.5),
+    ("max_window_words", True),
+    ("context_words", -1),
+    ("context_words", 0),
+    ("context_words", 0.5),
+    ("context_words", "4"),
+]
+
+
+@pytest.mark.parametrize("name,value", _BAD_CAPABILITIES)
+@pytest.mark.parametrize("entry", ["accumulate_votes", "classify_chunked"])
+def test_a_bad_capability_is_a_config_error_before_any_call(trained, entry, name, value):
+    counting = Counting(trained, **{name: value})
+    with pytest.raises(ConfigError, match=name) as exc_info:
+        if entry == "accumulate_votes":
+            accumulate_votes(_stream(30), counting, SegmenterConfig(window_words=12))
+        else:
+            classify_chunked(counting, _stream(30), 12)
+    assert exc_info.value.code == "CONFIG"
+    assert counting.calls == []
+
+
 # --------------------------------------------------------------------------
 # Announced calls: a classifier with ``expect`` hears of every call of the
 # full-window path, once and in order, before the first of them.
@@ -636,9 +700,13 @@ def test_window_invariant_path_calls_classify_directly_and_announces_nothing(tra
     assert set(lengths) == {2 * k, cfg.window_words}
     full = lengths.count(cfg.window_words)
     n_windows = len(stream) - cfg.window_words + 1
-    assert len(lengths) == full + 2 * (n_windows - full)  # one call per head, tail or full window
+    # One call per full window and one per tail of every other window.  A head needs its
+    # own call only in the first W - 2k windows: from then on, at stride 1, the window
+    # W - 2k words back is classified either in full, and so is this one, or at its tail,
+    # whose words are this window's head.  Window 0 is classified in full.
+    assert len(lengths) == full + (n_windows - full) + (cfg.window_words - 2 * k - 1)
     # Extra full windows would give the same votes, only slower: pin how many there are.
-    assert (full, len(lengths)) == (10, 512)
+    assert (full, len(lengths)) == (10, 292)
     assert votes == accumulate_votes(stream, Counting(trained), cfg)
 
 
@@ -740,6 +808,22 @@ def test_window_invariant_votes_hold_nothing_per_word_but_the_table(trained):
     rng = random.Random(15)
     stream = [rng.choice(_VOCAB[:6]) for _ in range(20_000)]
     cfg = SegmenterConfig(window_words=200)
+    accumulate_votes(stream, trained, cfg)  # fills the label cache
+    tracemalloc.start()
+    try:
+        rows = accumulate_votes(stream, trained, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(stream)
+    assert peak - held < 64 * 2**10
+
+
+def test_window_invariant_votes_drop_tail_labels_that_no_head_takes(trained):
+    # At a stride that does not divide W - 2k = 192, no tail call's labels serve a head.
+    rng = random.Random(15)
+    stream = [rng.choice(_VOCAB[:6]) for _ in range(20_000)]
+    cfg = SegmenterConfig(window_words=200, stride=5)
     accumulate_votes(stream, trained, cfg)  # fills the label cache
     tracemalloc.start()
     try:
