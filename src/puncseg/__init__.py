@@ -37,7 +37,6 @@ from .sepp import (
     parse_sepp_file,
     strip_labels,
     write_sepp,
-    write_sepp_file,
 )
 from .textprep import (
     SplitSpec,
@@ -90,5 +89,4 @@ __all__ = [
     "truecase",
     "windows",
     "write_sepp",
-    "write_sepp_file",
 ]

@@ -36,9 +36,10 @@ N_LABELS = len(LABELS)
 FEATURE_SPACE = 1 << 20
 TEMPLATE_VERSION = 1
 
-#: Entries a LinearModel label cache holds before it is emptied.  A
-#: sliding window keeps about 7 contexts per window word live, so a clear
-#: costs at most one window of re-scoring.
+#: Entries a LinearModel label cache holds before it is emptied.  Exact
+#: sliding-window votes score about 7 contexts per window word, and
+#: ``segment``, which settles the words far from a stream's ends, about
+#: one; either way a clear costs at most one window of re-scoring.
 _LABEL_CACHE_MAX = 1 << 16
 
 _BOS = "<s>"

@@ -15,13 +15,24 @@ its ``2k`` words, and the ``2k`` words that label one window's tail
 label the head of the window ``w - 2k`` words later, so that one call
 serves both.  The vote table is the same as when every window is
 classified in full.
+
+:func:`segment` thresholds at one theta, so it also settles words: a word
+whose edge votes are too few to move its decision at that theta takes
+all its votes on its interior label, and an edge slice is classified
+only when it holds an unsettled word.  On a long stream at ``W = 200``
+and theta 0.1 that leaves the edges of about 40 windows at each end, so
+about one context is scored per word instead of seven.  Its labels and
+boundaries are those of the exact votes, which :func:`accumulate_votes`
+still returns by default, as a sweep over theta needs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import tee
+from functools import partial
+from itertools import chain, cycle, islice, tee
+from numbers import Real
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .classifier import LABELS, N_LABELS, Classifier
@@ -40,21 +51,32 @@ class SegmenterConfig:
     pooling: str = "per_class"
 
     def __post_init__(self) -> None:
+        for name in ("window_words", "stride"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an int, not {getattr(self, name)!r}")
         if self.window_words < 1:
             raise ConfigError("window_words must be positive")
         if self.stride < 1:
             raise ConfigError("stride must be positive")
         if self.stride > self.window_words:
             raise ConfigError("stride must not exceed window_words")
+        if isinstance(self.theta, bool) or not isinstance(self.theta, Real):
+            raise ConfigError(f"theta must be a real number, not {self.theta!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError("theta must lie in [0, 1]")
-        if not self.segmenters:
+        try:
+            segmenters = frozenset(self.segmenters)
+        except TypeError:  # not iterable, or holds something unhashable
+            segmenters = None
+        if segmenters is None or not all(isinstance(label, PunctLabel) for label in segmenters):
+            raise ConfigError(f"segmenters must hold PunctLabels, not {self.segmenters!r}")
+        if not segmenters:
             raise ConfigError("segmenters must not be empty")
-        if PunctLabel.NONE in self.segmenters:
+        if PunctLabel.NONE in segmenters:
             raise ConfigError("NONE cannot segment")
         if self.pooling not in ("per_class", "pooled"):
             raise ConfigError(f"unknown pooling mode {self.pooling!r}")
-        object.__setattr__(self, "segmenters", frozenset(self.segmenters))
+        object.__setattr__(self, "segmenters", segmenters)
 
 
 class Window(NamedTuple):
@@ -170,7 +192,8 @@ def _classify(classifier: Classifier, words: Sequence[str], at: int) -> list[Pun
 
 
 def accumulate_votes(
-    stream: Sequence[str], classifier: Classifier, cfg: SegmenterConfig
+    stream: Sequence[str], classifier: Classifier, cfg: SegmenterConfig, *,
+    settle: bool = False,
 ) -> list[list[int]]:
     """Tally one vote per covered word for every window.
 
@@ -181,14 +204,24 @@ def accumulate_votes(
     accepts whole windows, the votes come from
     :func:`_shared_interior_votes`, which announces no call.  Otherwise
     every window is classified in full, its calls announced as they are
-    cut.  The table is the same either way.
+    cut.  The table is the same either way: the exact votes, which hold
+    at every theta, as a sweep needs.
+
+    With ``settle=True``, on the ``context_words`` path only, each word
+    of the stretch :func:`_settled_stretch` finds, whose edge votes
+    cannot move its decision at ``cfg``, puts all its votes on its
+    interior label, and an edge slice is classified only when it holds a
+    word outside that stretch.  :func:`decide` at ``cfg`` gives every
+    word the label it gives the exact table; at another theta or pooling
+    it may not.
     """
     counts = [[0] * N_LABELS for _ in range(len(stream))]
     wins = windows(stream, cfg)
     limit, k = _capabilities(classifier)
     w = cfg.window_words
     if len(wins) > 1 and k and 2 * k < w and (limit is None or limit >= w):
-        _shared_interior_votes(counts, wins.stream, wins.starts, classifier, w, k)
+        settled = _settled_stretch(len(counts), wins.starts, w, k, cfg) if settle else (0, 0)
+        _shared_interior_votes(counts, wins.stream, wins.starts, classifier, w, k, *settled)
         return counts
     for at, chunk in _announced_calls(classifier, wins, min(len(stream), w), w, limit):
         _vote(counts, at, _classify(classifier, chunk, at))
@@ -201,9 +234,103 @@ def _vote(counts: list[list[int]], start: int, labels: Sequence[PunctLabel]) -> 
         counts[i][label.index] += 1
 
 
+#: How far below theta a settled word's edge ratio ``e / c`` must lie in
+#: pooled mode.  The pooled test sums up to ``N_LABELS - 1`` ratios, each
+#: rounded, of votes that total at most ``e``; in doubles that sum exceeds
+#: the rounded ``e / c`` by less than 1e-15, so ``e / c <= theta - margin``
+#: keeps it at or below theta.
+_POOLED_MARGIN = 1e-9
+
+
+def _settled_stretch(
+    n: int, starts: range, w: int, k: int, cfg: SegmenterConfig
+) -> tuple[int, int]:
+    """The stretch ``[a, b)`` of settled words around the middle of an ``n``-word stream.
+
+    A word covered by ``c`` of the ``w``-word windows at ``starts``, ``h``
+    of them holding it in their interior (``k`` or more words from either
+    edge), takes ``h`` votes for its interior label and ``e = c - h``
+    from edges.  It is *settled* when ``e / c <= theta`` and ``h / c >
+    theta``, divided in floats as :func:`decide` divides.  Then its
+    interior label has at least ``h > e`` votes and passes theta, and no
+    other label, nor in pooled mode the summed segmenting labels that are
+    not it, can pass (the pooled test asks ``e / c <= theta -
+    _POOLED_MARGIN``).  So ``decide`` gives it its interior label, also
+    from a row that puts all ``c`` votes there.
+
+    The stretch grows word by word from the middle word, and is ``(0,
+    0)`` when that word is not settled.  Two runs of words need not be
+    tested one by one: those in ``[w-1, last]``, which all settle when
+    one ``step`` of them does, since a word has the ``c`` and ``h`` of
+    the word ``step`` on; and those that every window holds in its
+    interior (``e = 0``).  At stride 1, once the middle word settles, the
+    stretch holds every settled word; otherwise settled words outside it
+    just vote exactly.  At ``W = 200``, ``k = 4`` and theta 0.1 the
+    stretch leaves 39 words unsettled at each end of a long stream.
+    """
+    last, step = starts[-1], starts.step
+    theta = cfg.theta
+    edge_theta = theta - (_POOLED_MARGIN if cfg.pooling == "pooled" else 0.0)
+
+    def settled(p: int) -> bool:
+        c = _starts_holding(p, 0, w, last, step)
+        h = _starts_holding(p, k, w, last, step)
+        return h > 0 and (c - h) / c <= edge_theta and h / c > theta
+
+    a = n // 2
+    if not settled(a):
+        return 0, 0
+    b = a + 1
+    if w - 1 <= a <= last and all(map(settled, range(w - 1, min(w - 1 + step, last + 1)))):
+        a, b = w - 1, last + 1
+    elif last + k <= a < w - k:
+        a, b = last + k, w - k
+    while a > 0 and settled(a - 1):
+        a -= 1
+    while b < n and settled(b):
+        b += 1
+    return a, b
+
+
+def _vote_unsettled(
+    counts: list[list[int]], start: int, labels: Sequence[PunctLabel], a: int, b: int
+) -> None:
+    """:func:`_vote` the words outside the settled stretch ``[a, b)``."""
+    end = start + len(labels)
+    if start < a:
+        _vote(counts, start, labels[: min(end, a) - start])
+    if end > b:
+        at = max(start, b)
+        _vote(counts, at, labels[at - start :])
+
+
+def _starts_holding(p: int, j: int, w: int, last: int, step: int) -> int:
+    """The window starts ``t`` in ``[0, last]``, multiples of ``step``, with
+    ``t + j <= p < t + w - j``: those covering word ``p`` at ``j = 0``, those
+    holding it in their interior at ``j = k``."""
+    return min(last, p - j) // step - max(-1, p - w + j) // step
+
+
+def _held(lo: int, hi: int, j: int, w: int, last: int, step: int) -> Iterator[int]:
+    """:func:`_starts_holding` for each word of ``[lo, hi)``.
+
+    From ``w - 1 - j`` to ``last + j`` neither bound binds, so there a
+    word has the count of the word ``step`` on, and one step of counts
+    is repeated.
+    """
+    count = partial(_starts_holding, j=j, w=w, last=last, step=step)
+    mid_lo = min(hi, max(lo, w - 1 - j))
+    mid_hi = max(mid_lo, min(hi, last + j + 1))
+    return chain(
+        map(count, range(lo, mid_lo)),
+        islice(cycle(map(count, range(mid_lo, mid_lo + step))), mid_hi - mid_lo),
+        map(count, range(mid_hi, hi)),
+    )
+
+
 def _shared_interior_votes(
     counts: list[list[int]], stream: list[str], starts: range,
-    classifier: Classifier, w: int, k: int,
+    classifier: Classifier, w: int, k: int, a: int, b: int,
 ) -> None:
     """Vote the ``w``-word windows at ``starts``, classifying their interiors only where needed.
 
@@ -221,33 +348,56 @@ def _shared_interior_votes(
     head when the walk reaches it; entries the walk passes are dropped,
     so at most ``(w-2k)/step + 1`` are live.  Every call's words are
     sliced from the stream as the call is made.
+
+    A word in the settled stretch ``[a, b)`` (see :func:`_settled_stretch`;
+    empty for the exact votes) takes no edge vote: its interior label is
+    weighted by every window that covers it instead.  An edge slice whose
+    voting words all lie in the stretch is not classified, and the walk
+    skips the windows that would classify nothing.
     """
     known = 0  # every word before this one has had its interior votes cast
     last, step = starts[-1], starts.step
     tails: deque[tuple[int, list[PunctLabel]]] = deque()  # (start, labels) of tail calls
-    for s in starts:
+    s = 0
+    while True:
         while tails and tails[0][0] < s:
             tails.popleft()
         first_unknown = max(known, s + k)
         stop = s + w - k
         next_inner = s + step + k if s < last else len(counts)
+        head = tail = None
         if next_inner > first_unknown:
             head = _classify(classifier, stream[s : s + w], s)
             tail = head[w - 2 * k :]
-            for p in range(first_unknown, stop):
-                # the starts t in [0, last], multiples of step, with t + k <= p < t + w - k
-                held = min(last, p - k) // step - max(-1, p - w + k) // step
-                counts[p][head[p - s].index] += held
+            # A settled word's label takes the starts t in [0, last] with
+            # t <= p < t + w (j = 0), any other's those with t + k <= p < t + w - k.
+            for lo, hi, j in ((first_unknown, a, k), (a, b, 0), (b, stop, k)):
+                lo, hi = max(lo, first_unknown), min(hi, stop)
+                weights = _held(lo, hi, j, w, last, step)
+                for p, label, held in zip(range(lo, hi), head[lo - s : hi - s], weights):
+                    counts[p][label.index] += held
             known = stop
         else:
-            if tails and tails[0][0] == s:
-                head = tails.popleft()[1]
-            else:
-                head = _classify(classifier, stream[s : s + 2 * k], s)
-            tail = _classify(classifier, stream[stop - k : s + w], stop - k)
-            tails.append((stop - k, tail))
-        _vote(counts, s, head[:k])
-        _vote(counts, stop, tail[k:])
+            if s < a or s + k > b:
+                if tails and tails[0][0] == s:
+                    head = tails.popleft()[1]
+                else:
+                    head = _classify(classifier, stream[s : s + 2 * k], s)
+            if stop < a or s + w > b:
+                tail = _classify(classifier, stream[stop - k : s + w], stop - k)
+                tails.append((stop - k, tail))
+        if head is not None:
+            _vote_unsettled(counts, s, head[:k], a, b)
+        if tail is not None:
+            _vote_unsettled(counts, stop, tail[k:], a, b)
+        if s == last:
+            return
+        s += step
+        if a <= s <= b - w:
+            # Until the next full window, or the first tail that reaches past b,
+            # every head and tail holds only settled words: skip those windows.
+            s = max(s, min(last, known - step - k + 1, b - w + 1))
+            s = -(-s // step) * step
 
 
 def decide(
@@ -314,7 +464,12 @@ class SegmentedText:
 def segment(
     stream: Sequence[str], classifier: Classifier, cfg: SegmenterConfig
 ) -> SegmentedText:
-    """Window, vote, threshold; cut after every accepted segmenting label."""
-    votes = accumulate_votes(stream, classifier, cfg)
+    """Window, vote, threshold; cut after every accepted segmenting label.
+
+    The votes are settled at ``cfg`` (see :func:`accumulate_votes`), so a
+    classifier that declares ``context_words`` labels mainly full windows;
+    the labels and boundaries are those of the exact votes.
+    """
+    votes = accumulate_votes(stream, classifier, cfg, settle=True)
     labels, boundaries = decide(votes, cfg)
     return SegmentedText(list(stream), labels, sorted(boundaries))

@@ -198,10 +198,6 @@ def write_sepp(doc: SeppDocument) -> str:
     return "".join(parts)
 
 
-def write_sepp_file(doc: SeppDocument, path) -> None:
-    atomic_write(path, write_sepp(doc))
-
-
 def atomic_write(path, data: str | bytes) -> None:
     """Write ``data`` (text as UTF-8) to a new file beside ``path``, then rename it over ``path``.
 

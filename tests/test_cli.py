@@ -11,10 +11,10 @@ from puncseg.sepp import (
     LabeledToken,
     PunctLabel,
     SeppDocument,
+    atomic_write,
     parse_sepp,
     strip_labels,
     write_sepp,
-    write_sepp_file,
 )
 from sample_streams import (
     COPERNICUS_PRED,
@@ -39,7 +39,7 @@ def copernicus_files(tmp_path):
     stream = tmp_path / "stream.txt"
     stream.write_text(" ".join(COPERNICUS_WORDS) + "\n", encoding="utf-8")
     pred = tmp_path / "pred.tsv"
-    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_PRED), pred)
+    atomic_write(pred, write_sepp(document_for(COPERNICUS_WORDS, COPERNICUS_PRED)))
     return stream, pred
 
 
@@ -150,7 +150,7 @@ def test_segmenters_question_mark_extends_boundaries(tmp_path, capsys):
     words = ["waar", "dan", "hier", "dus", "klaar"]
     marked = {1: PunctLabel.QUESTION, 4: P}
     pred = tmp_path / "pred.tsv"
-    write_sepp_file(document_for(words, marked), pred)
+    atomic_write(pred, write_sepp(document_for(words, marked)))
     stream = tmp_path / "stream.txt"
     stream.write_text(" ".join(words), encoding="utf-8")
 
@@ -180,7 +180,7 @@ def test_segment_emit_sepp_matches_eval_and_sweep(tmp_path, capsys, copernicus_f
     gold = tmp_path / "gold.tsv"
     from sample_streams import COPERNICUS_GOLD
 
-    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD), gold)
+    atomic_write(gold, write_sepp(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD)))
 
     shared = [
         "--classifier", f"replay:{pred}", "--window", "10", "--segmenters", ".",
@@ -210,7 +210,7 @@ def test_sweep_boundary_counts_non_increasing(tmp_path, capsys, copernicus_files
     gold = tmp_path / "gold.tsv"
     from sample_streams import COPERNICUS_GOLD
 
-    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD), gold)
+    atomic_write(gold, write_sepp(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD)))
     code, out, _ = run(
         capsys,
         "sweep",
@@ -237,7 +237,7 @@ def test_sweep_empty_theta_list_fails(tmp_path, capsys, copernicus_files):
     gold = tmp_path / "gold.tsv"
     from sample_streams import COPERNICUS_GOLD
 
-    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD), gold)
+    atomic_write(gold, write_sepp(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD)))
     code, _, err = run(
         capsys, "sweep", str(gold), "--thetas", " , ", "--classifier", f"replay:{pred}"
     )
@@ -248,7 +248,7 @@ def test_sweep_empty_theta_list_fails(tmp_path, capsys, copernicus_files):
 def test_eval_labels_perfect_match(tmp_path, capsys):
     doc = document_for(COPERNICUS_WORDS, COPERNICUS_PRED)
     gold = tmp_path / "gold.tsv"
-    write_sepp_file(doc, gold)
+    atomic_write(gold, write_sepp(doc))
     code, out, _ = run(capsys, "eval-labels", str(gold), str(gold))
     assert code == 0
     assert "1.000000" in out
@@ -270,7 +270,7 @@ def test_eval_labels_word_mismatch(tmp_path, capsys):
 
 def test_eval_labels_writes_report_files(tmp_path, capsys):
     gold = tmp_path / "gold.tsv"
-    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_PRED), gold)
+    atomic_write(gold, write_sepp(document_for(COPERNICUS_WORDS, COPERNICUS_PRED)))
     prefix = tmp_path / "scores"
     code, _, _ = run(capsys, "eval-labels", str(gold), str(gold), "--out-prefix", str(prefix))
     assert code == 0
@@ -283,8 +283,8 @@ def test_eval_boundaries_known_counts(tmp_path, capsys):
     words = ["a", "b", "c", "d", "e"]
     gold = tmp_path / "gold.tsv"
     pred = tmp_path / "pred.tsv"
-    write_sepp_file(document_for(words, {1: P, 4: P}), gold)
-    write_sepp_file(document_for(words, {1: P, 3: P}), pred)
+    atomic_write(gold, write_sepp(document_for(words, {1: P, 4: P})))
+    atomic_write(pred, write_sepp(document_for(words, {1: P, 3: P})))
     code, out, _ = run(capsys, "eval-boundaries", str(gold), str(pred), "--segmenters", ".")
     assert code == 0
     header, row = out.splitlines()
@@ -297,7 +297,7 @@ def test_classify_train_round_trip(tmp_path, capsys):
     train_file = tmp_path / "train.tsv"
     test_file = tmp_path / "test.tsv"
     full = tmp_path / "full.tsv"
-    write_sepp_file(corpus, full)
+    atomic_write(full, write_sepp(corpus))
 
     code, _, err = run(
         capsys, "split", str(full),
@@ -353,7 +353,7 @@ def test_classify_chunks_at_window_or_classifier_limit(
 ):
     # The external adapter accepts at most 200 words per request.
     doc = tmp_path / "doc.tsv"
-    write_sepp_file(document_for([f"w{i}" for i in range(n_words)], {}), doc)
+    atomic_write(doc, write_sepp(document_for([f"w{i}" for i in range(n_words)], {})))
     code, out, _ = run(
         capsys, "classify", str(doc), "--classifier", period_at_request_end, "--window", window
     )
@@ -366,7 +366,7 @@ def test_classify_word_the_protocol_cannot_carry_is_a_coded_error(
     tmp_path, capsys, period_at_request_end
 ):
     doc = tmp_path / "doc.tsv"
-    write_sepp_file(document_for(["twee woorden", "hier"], {1: P}), doc)
+    atomic_write(doc, write_sepp(document_for(["twee woorden", "hier"], {1: P})))
     code, _, err = run(capsys, "classify", str(doc), "--classifier", period_at_request_end)
     assert code == 1
     assert err.startswith("error: [WINDOW_CLASSIFY] ")
@@ -375,9 +375,9 @@ def test_classify_word_the_protocol_cannot_carry_is_a_coded_error(
 
 def test_classify_replay_mismatch_is_a_coded_error(tmp_path, capsys):
     doc = tmp_path / "doc.tsv"
-    write_sepp_file(document_for(["onbekend", "stream"], {1: P}), doc)
+    atomic_write(doc, write_sepp(document_for(["onbekend", "stream"], {1: P})))
     recorded = tmp_path / "recorded.tsv"
-    write_sepp_file(document_for(["heel", "andere", "tekst"], {2: P}), recorded)
+    atomic_write(recorded, write_sepp(document_for(["heel", "andere", "tekst"], {2: P})))
     code, _, err = run(capsys, "classify", str(doc), "--classifier", f"replay:{recorded}")
     assert code == 1
     assert err.startswith("error: [WINDOW_CLASSIFY] ")
@@ -386,9 +386,9 @@ def test_classify_replay_mismatch_is_a_coded_error(tmp_path, capsys):
 def test_significance_identical_conditions(tmp_path, capsys):
     corpus = template_corpus(80, seed=2)
     gold = tmp_path / "gold.tsv"
-    write_sepp_file(corpus, gold)
+    atomic_write(gold, write_sepp(corpus))
     pred = tmp_path / "replay.tsv"
-    write_sepp_file(corpus, pred)
+    atomic_write(pred, write_sepp(corpus))
     cfg = tmp_path / "cond.cfg"
     cfg.write_text(f"classifier = replay:{pred}\nsegmenters = .\n", encoding="utf-8")
 
@@ -423,10 +423,10 @@ def _toy_significance_corpus(tmp_path):
             idx += 1
     pred_marks[2 * 6 + 1] = P  # false boundary on block 2's second word
     gold = tmp_path / "gold.tsv"
-    write_sepp_file(SeppDocument(gold_tokens), gold)
+    atomic_write(gold, write_sepp(SeppDocument(gold_tokens)))
     words = [t.word for t in gold_tokens]
     pred = tmp_path / "predB.tsv"
-    write_sepp_file(document_for(words, pred_marks), pred)
+    atomic_write(pred, write_sepp(document_for(words, pred_marks)))
     return gold, pred
 
 
@@ -838,7 +838,7 @@ def test_a_failed_model_write_keeps_the_previous_file(tmp_path, capsys, monkeypa
         return HalfWrite(fh) if "w" in mode or "x" in mode else fh
 
     corpus = tmp_path / "corpus.tsv"
-    write_sepp_file(template_corpus(30, seed=1), corpus)
+    atomic_write(corpus, write_sepp(template_corpus(30, seed=1)))
     target = tmp_path / "model"
 
     def write(n):
@@ -889,7 +889,7 @@ def test_cli_closes_every_external_classifier_it_builds(
     cfg = tmp_path / "ext.cfg"
     cfg.write_text(f"classifier = {period_at_request_end}\nsegmenters = .\n", encoding="utf-8")
     bad = tmp_path / "bad.tsv"
-    write_sepp_file(document_for(["hier", "twee woorden"], {1: P}), bad)
+    atomic_write(bad, write_sepp(document_for(["hier", "twee woorden"], {1: P})))
     invocations = [
         (["classify", str(gold), "--classifier", period_at_request_end], 0),
         (["segment", str(stream), "--classifier", period_at_request_end], 0),
@@ -919,7 +919,7 @@ def test_sweep_golden_bytes(tmp_path, capsys, copernicus_files):
 
     _, pred = copernicus_files
     gold = tmp_path / "gold.tsv"
-    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD), gold)
+    atomic_write(gold, write_sepp(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD)))
     code, out, _ = run(
         capsys, "sweep", str(gold), "--thetas", "0, 1e-05 0.3333333,1",
         "--classifier", f"replay:{pred}", "--window", "7", "--segmenters", ".?",
@@ -966,8 +966,8 @@ def test_eval_labels_out_prefix_golden_bytes(tmp_path, capsys):
 
     gold = tmp_path / "gold.tsv"
     pred = tmp_path / "pred.tsv"
-    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD), gold)
-    write_sepp_file(document_for(COPERNICUS_WORDS, COPERNICUS_PRED), pred)
+    atomic_write(gold, write_sepp(document_for(COPERNICUS_WORDS, COPERNICUS_GOLD)))
+    atomic_write(pred, write_sepp(document_for(COPERNICUS_WORDS, COPERNICUS_PRED)))
     prefix = tmp_path / "eval"
     code, out, _ = run(capsys, "eval-labels", str(gold), str(pred), "--out-prefix", str(prefix))
     assert code == 0
@@ -1014,7 +1014,7 @@ def _reader_inputs(tmp_path):
     stream = tmp_path / "stream.txt"
     stream.write_text(" ".join(COPERNICUS_WORDS[:20]) + "\n", encoding="utf-8")
     pred = tmp_path / "pred.tsv"
-    write_sepp_file(document_for(COPERNICUS_WORDS[:20], COPERNICUS_PRED), pred)
+    atomic_write(pred, write_sepp(document_for(COPERNICUS_WORDS[:20], COPERNICUS_PRED)))
     cfg = tmp_path / "cond.cfg"
     cfg.write_text(f"classifier = replay:{gold}\nsegmenters = .\n", encoding="utf-8")
     raw = tmp_path / "raw.txt"
@@ -1137,7 +1137,8 @@ def test_python_dash_m_puncseg_runs_the_cli(tmp_path, argv, stdin, code, stream,
 
     src = str(Path(puncseg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    write_sepp_file(document_for(["a", "b", "c", "d"], {1: P, 3: P}), tmp_path / "gold.tsv")
+    gold = document_for(["a", "b", "c", "d"], {1: P, 3: P})
+    atomic_write(tmp_path / "gold.tsv", write_sepp(gold))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
 
     def puncseg_run(args, stdin=None):

@@ -1,8 +1,10 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from collections import deque
 from pathlib import Path
 
@@ -11,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import template_corpus
-from oracles import HashClassifier, brute_force_render, brute_force_segment, brute_force_votes
+from oracles import (
+    HashClassifier,
+    brute_force_decide,
+    brute_force_render,
+    brute_force_segment,
+    brute_force_votes,
+)
 from puncseg.classifier import LABELS, train_reference
 from puncseg.errors import ConfigError, EmptyStreamError, OutOfRangeError, WindowClassifyError
 from puncseg.external import _IN_FLIGHT
@@ -135,6 +143,26 @@ def test_config_validation():
         SegmenterConfig(segmenters=frozenset({N}))
     with pytest.raises(ValueError):
         SegmenterConfig(pooling="mean")
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("window_words", 2.5),
+        ("window_words", True),
+        ("stride", 1.5),
+        ("stride", True),
+        ("theta", True),
+        ("theta", "0.1"),
+        ("segmenters", "."),
+        ("segmenters", frozenset({"."})),
+        ("segmenters", 5),
+    ],
+)
+def test_a_setting_of_the_wrong_type_is_a_config_error(name, value):
+    with pytest.raises(ConfigError, match=name) as exc_info:
+        SegmenterConfig(**{name: value})
+    assert exc_info.value.code == "CONFIG"
 
 
 def test_accumulate_single_window_votes():
@@ -628,6 +656,143 @@ def test_a_bad_capability_is_a_config_error_before_any_call(trained, entry, name
 
 
 # --------------------------------------------------------------------------
+# Settled words: ``segment`` gives a word whose edge votes cannot move its
+# decision all its votes on its interior label, and classifies no edge slice
+# that holds only such words.  Labels and boundaries must not change.
+
+
+class Contextual:
+    """Labels offset ``j`` of a window from ``window[j-k : j+k+1]``, ``min(j, k)`` and
+    ``min(w-1-j, k)`` alone, as ``context_words = k`` promises; a hash spreads the labels."""
+
+    name = "contextual"
+    max_window_words = None
+
+    def __init__(self, k, seed):
+        self.context_words = k
+        self.seed = seed
+
+    def classify(self, window):
+        k, w = self.context_words, len(window)
+        out = []
+        for j in range(w):
+            key = "|".join([str(self.seed), *window[max(0, j - k) : j + k + 1]])
+            h = zlib.crc32(f"{key}#{min(j, k)}#{min(w - 1 - j, k)}".encode())
+            out.append(LABELS[h % 6] if h % 5 == 0 else LABELS[h % 3])
+        return out
+
+
+_POOLINGS = ("per_class", "pooled")
+_SEGMENTER_SETS = (frozenset({P}), frozenset({P, Q}), frozenset({C, P, PunctLabel.DASH}))
+
+
+def test_settled_votes_decide_like_the_exact_votes_exhaustively():
+    rng = random.Random(21)
+    settled_cases = {pooling: 0 for pooling in _POOLINGS}
+    for w in range(3, 7):
+        # every e / c and h / c a word can have, 0 and 1 among them
+        thetas = sorted({i / c for c in range(1, w + 1) for i in range(c + 1)})
+        shapes = itertools.product(range(1, (w + 1) // 2), range(1, w + 1), range(1, 13))
+        for k, stride, n in shapes:  # every k with 2k < W, stride <= W and n <= 12
+            stream = [rng.choice("abc") for _ in range(n)]
+            clf = Contextual(k, rng.randrange(1000))
+            exact = accumulate_votes(stream, clf, SegmenterConfig(window_words=w, stride=stride))
+            counts, coverage = brute_force_votes(stream, clf, w, stride)
+            knobs = itertools.product(thetas, _POOLINGS, _SEGMENTER_SETS)
+            for theta, pooling, segmenters in knobs:
+                cfg = SegmenterConfig(
+                    window_words=w, stride=stride, theta=theta, segmenters=segmenters,
+                    pooling=pooling,
+                )
+                got = segment(stream, clf, cfg)
+                labels, bounds = brute_force_decide(counts, coverage, theta, segmenters, pooling)
+                assert (got.labels, got.boundaries) == (labels, sorted(bounds))
+                settled = accumulate_votes(stream, clf, cfg, settle=True)
+                assert decide(settled, cfg) == decide(exact, cfg)
+                assert _coverage(settled) == coverage
+                settled_cases[pooling] += settled != exact
+    assert min(settled_cases.values()) > 50
+
+
+class EdgeMarks:
+    """``context_words = 3``: a window's first and last word PERIOD, its other edge words
+    QUESTION, its interior NONE."""
+
+    name = "edge-marks"
+    max_window_words = None
+    context_words = 3
+
+    def classify(self, window):
+        w = len(window)
+        return [(P, Q, Q, N)[min(j, w - 1 - j, 3)] for j in range(w)]
+
+
+def test_the_pooled_margin_keeps_a_rounded_pool_exact():
+    # W = 20, stride 1: a middle word takes 14 NONE votes from interiors, 2 PERIOD and
+    # 4 QUESTION from edges.  e / c = 6 / 20 = 0.3 is theta, but the pooled sum
+    # 2/20 + 4/20 is 0.30000000000000004 in doubles and passes it.
+    stream = _stream(60)
+    segmenters = frozenset({P, Q})
+    cfg = SegmenterConfig(window_words=20, theta=0.3, pooling="pooled", segmenters=segmenters)
+    got = segment(stream, EdgeMarks(), cfg)
+    labels, bounds = brute_force_segment(stream, EdgeMarks(), 20, 1, 0.3, segmenters, "pooled")
+    assert (got.labels, got.boundaries) == (labels, sorted(bounds))
+    assert got.labels[30] is Q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 500),
+    st.integers(9, 60),
+    st.integers(1, 8),
+    st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.5, 1.0]),
+    st.sampled_from(_POOLINGS),
+    st.randoms(use_true_random=False),
+)
+def test_segment_with_a_trained_model_matches_the_oracle(
+    trained, n, window_words, stride, theta, pooling, rng
+):
+    stream = _random_stream(rng, n)
+    cfg = SegmenterConfig(window_words=window_words, stride=stride, theta=theta, pooling=pooling)
+    got = segment(stream, trained, cfg)
+    labels, bounds = brute_force_segment(
+        stream, trained, window_words, stride, theta, cfg.segmenters, pooling
+    )
+    assert (got.labels, got.boundaries) == (labels, sorted(bounds))
+
+
+@pytest.mark.parametrize("theta", [0.15, 1.0])
+def test_segment_makes_the_exact_calls_where_nothing_settles(trained, theta):
+    # W = 40, k = 4: the middle word has e / c = 8 / 40 = 0.2, above 0.15, and no word
+    # has h / c above 1, so no stretch settles.
+    base = _random_stream(random.Random(17), 300)
+    stream = _stream(300)
+    cfg = SegmenterConfig(window_words=40, theta=theta)
+    settling = Slices(trained, base, context_words=trained.context_words)
+    segment(stream, settling, cfg)
+    exact = Slices(trained, base, context_words=trained.context_words)
+    accumulate_votes(stream, exact, cfg)
+    assert settling.slices == exact.slices
+    fewer = Slices(trained, base, context_words=trained.context_words)
+    segment(stream, fewer, SegmenterConfig(window_words=40, theta=0.25))
+    assert len(fewer.slices) < len(exact.slices)
+
+
+def test_segment_classifies_an_edge_slice_only_near_the_stream_ends(trained):
+    # At theta 0.1 the words 39 .. 19960 settle.  Besides the 105 full windows, the
+    # heads of windows 1 .. 38 are classified, and the tails of windows 19762 .. 19799
+    # but the full window 19776: 38 + 37 edge calls.
+    rng = random.Random(15)
+    stream = [rng.choice(_VOCAB[:6]) for _ in range(20_000)]
+    cfg = SegmenterConfig(window_words=200)
+    counting = Counting(trained, context_words=trained.context_words)
+    got = segment(stream, counting, cfg)
+    calls = counting.calls
+    assert (calls.count(200), calls.count(8), len(calls)) == (105, 75, 180)
+    assert decide(accumulate_votes(stream, trained, cfg), cfg) == (got.labels, set(got.boundaries))
+
+
+# --------------------------------------------------------------------------
 # Announced calls: a classifier with ``expect`` hears of every call of the
 # full-window path, once and in order, before the first of them.
 
@@ -828,6 +993,23 @@ def test_window_invariant_votes_drop_tail_labels_that_no_head_takes(trained):
     tracemalloc.start()
     try:
         rows = accumulate_votes(stream, trained, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(stream)
+    assert peak - held < 64 * 2**10
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+def test_settled_votes_hold_nothing_per_word_but_the_table(trained, stride):
+    # The settled stretch is two ints: settling adds no side array per word.
+    rng = random.Random(15)
+    stream = [rng.choice(_VOCAB[:6]) for _ in range(20_000)]
+    cfg = SegmenterConfig(window_words=200, stride=stride)
+    accumulate_votes(stream, trained, cfg, settle=True)  # fills the label cache
+    tracemalloc.start()
+    try:
+        rows = accumulate_votes(stream, trained, cfg, settle=True)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
