@@ -153,11 +153,11 @@ def _check_aligned(gold: SeppDocument, pred: SeppDocument) -> None:
 def _predictions_document(
     words: list[str], labels: list[PunctLabel], boundaries: set[int], source_id=None
 ) -> SeppDocument:
-    tokens = [
-        LabeledToken(w, lab is PunctLabel.PERIOD or i in boundaries, lab)
-        for i, (w, lab) in enumerate(zip(words, labels))
-    ]
-    return SeppDocument(tokens, source_id=source_id)
+    period = PunctLabel.PERIOD
+    eos = [lab is period for lab in labels]
+    for i in boundaries:
+        eos[i] = True
+    return SeppDocument(list(map(LabeledToken, words, eos, labels)), source_id=source_id)
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:

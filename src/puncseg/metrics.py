@@ -55,7 +55,6 @@ class ClassMetrics:
 class EvalReport:
     per_class: dict[PunctLabel, ClassMetrics]
     accuracy: float
-    micro_f1: float
     macro_precision: float
     macro_recall: float
     macro_f1: float
@@ -70,7 +69,8 @@ def report(counts: list[list[int]]) -> EvalReport:
     """Per-class and aggregate metrics; zero denominators score 0 and set a flag.
 
     Macro averages are unweighted means over all six classes, the NONE
-    class included; micro F1 equals accuracy for this single-label task.
+    class included.  Micro F1 would equal accuracy for this single-label
+    task, so it is not reported separately.
     """
     total = sum(map(sum, counts))
     if total == 0:
@@ -96,7 +96,6 @@ def report(counts: list[list[int]]) -> EvalReport:
     return EvalReport(
         per_class=per_class,
         accuracy=diag / total,
-        micro_f1=diag / total,
         macro_precision=sum(m.precision for m in metrics) / _N,
         macro_recall=sum(m.recall for m in metrics) / _N,
         macro_f1=sum(m.f1 for m in metrics) / _N,

@@ -410,19 +410,20 @@ def decide(
     pooled mode first tests the summed ratio of the segmenting set; when
     it exceeds theta the best segmenting label wins, otherwise the word is
     decided per-class over the non-segmenting labels only.  A word covered
-    by no window stays NONE.
+    by no window stays NONE, and so does a word with no vote but NONE.
     """
     seg_idx = sorted(label.index for label in cfg.segmenters)
     seg_set = set(seg_idx)
     pooled = cfg.pooling == "pooled"
     candidates = [c for c in range(1, N_LABELS) if not (pooled and c in seg_set)]
     theta = cfg.theta
+    none = PunctLabel.NONE  # a local: reading the enum member per word costs more
     labels: list[PunctLabel] = []
     boundaries: set[int] = set()
     for i, row in enumerate(votes):
         cov = sum(row)
-        if cov == 0:
-            labels.append(PunctLabel.NONE)
+        if row[0] == cov:  # no vote but NONE, or none at all: NONE at every theta in [0, 1]
+            labels.append(none)
             continue
         if pooled and sum(row[c] / cov for c in seg_idx) > theta:
             best = seg_idx[0]
@@ -443,6 +444,12 @@ def decide(
     return labels, boundaries
 
 
+#: The text that follows a word, by its label's index: NONE adds nothing.
+_MARKS: tuple[str, ...] = tuple(
+    "" if label is PunctLabel.NONE else label.char for label in LABELS
+)
+
+
 @dataclass
 class SegmentedText:
     """Final labels plus the boundary cut points over the original stream."""
@@ -453,10 +460,10 @@ class SegmentedText:
 
     def to_text(self) -> str:
         """One segment per line; accepted marks attach to their word without a space."""
-        none = PunctLabel.NONE  # a local: reading the enum member per word costs more
+        marks = _MARKS  # a local: reading a global per word costs more
         ends = {*self.boundaries, len(self.words) - 1}
         return "".join([
-            word + ("" if label is none else label.char) + ("\n" if i in ends else " ")
+            word + marks[label.index] + ("\n" if i in ends else " ")
             for i, (word, label) in enumerate(zip(self.words, self.labels))
         ])
 

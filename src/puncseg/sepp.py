@@ -15,7 +15,7 @@ import secrets
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EncodingError, SeppConsistencyWarning, SeppParseError, UnwritableWordError
 
@@ -75,9 +75,12 @@ def label_from_char(ch: str) -> PunctLabel:
     return LABEL_BY_CHAR[ch]
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledToken:
-    """One SEPP row: a word, its sentence-end flag, and its punctuation label."""
+class LabeledToken(NamedTuple):
+    """One SEPP row: a word, its sentence-end flag, and its punctuation label.
+
+    A plain tuple underneath: it unpacks as ``word, eos, label`` and
+    compares equal to the tuple of its fields.
+    """
 
     word: str
     eos: bool
@@ -185,13 +188,27 @@ def _render_flag(token: LabeledToken) -> str:
     return "1" if token.eos else "0"
 
 
+#: Each row's text after its word, ``"\t<flag>\t<mark>\n"``, by label index, then
+#: by ``not eos``: like :func:`_render_flag`, any true flag counts as set.
+_ROW_ENDS: tuple[tuple[str, str], ...] = tuple(
+    tuple(
+        f"\t{_render_flag(LabeledToken('', eos, label))}\t{label.char}\n"
+        for eos in (True, False)
+    )
+    for label in PunctLabel
+)
+
+
 def write_sepp(doc: SeppDocument) -> str:
     """Serialize a document, one LF-terminated line per token."""
+    row_ends = _ROW_ENDS
     parts: list[str] = []
-    for tok in doc.tokens:
-        if not tok.word or any(ch in tok.word for ch in "\t\n\r"):
-            raise UnwritableWordError(f"unwritable word {tok.word!r}")
-        parts.append(f"{tok.word}\t{_render_flag(tok)}\t{tok.label.char}\n")
+    append = parts.append  # a local: two appends per token beat one concatenation
+    for word, eos, label in doc.tokens:
+        if not word or "\t" in word or "\n" in word or "\r" in word:
+            raise UnwritableWordError(f"unwritable word {word!r}")
+        append(word)
+        append(row_ends[label.index][not eos])
     if parts and parts[0].startswith("﻿"):
         # the format carries no BOM, so the output must not begin with one
         raise UnwritableWordError("document would begin with a byte-order mark")

@@ -134,6 +134,18 @@ def brute_force_render(words, labels, boundaries):
     return "".join(out)
 
 
+def brute_force_sepp_row(word, eos, label):
+    """One SEPP line: a full stop always sets the flag, no mark always clears
+    it, and any other mark keeps the token's own flag, read for its truth."""
+    if label is PunctLabel.PERIOD:
+        flag = "1"
+    elif label is PunctLabel.NONE:
+        flag = "0"
+    else:
+        flag = "1" if eos else "0"
+    return "\t".join([word, flag, label.value]) + "\n"
+
+
 class HashClassifier:
     """Deterministic pseudo-random classifier: the label of a window word is a
     hash of the window content, the in-window position, and a case seed."""

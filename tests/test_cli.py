@@ -174,6 +174,32 @@ def test_segmenters_question_mark_extends_boundaries(tmp_path, capsys):
     assert both == ["waar dan?", "hier dus klaar."]
 
 
+@pytest.mark.parametrize(
+    "segmenters, rows",
+    [
+        # an uncut full stop keeps its flag, a cut question mark sets it, a comma does not
+        ("?", ["een\t1\t.\n", "twee\t1\t?\n", "drie\t0\t,\n", "vier\t0\t0\n"]),
+        # a cut comma sets it, an uncut question mark does not
+        (",", ["een\t1\t.\n", "twee\t0\t?\n", "drie\t1\t,\n", "vier\t0\t0\n"]),
+    ],
+)
+def test_segment_emit_sepp_flags_every_full_stop_and_every_cut(
+    tmp_path, capsys, segmenters, rows
+):
+    words = ["een", "twee", "drie", "vier"]
+    pred = tmp_path / "pred.tsv"
+    atomic_write(pred, write_sepp(document_for(words, {0: P, 1: PunctLabel.QUESTION, 2: C})))
+    stream = tmp_path / "stream.txt"
+    stream.write_text(" ".join(words), encoding="utf-8")
+    emitted = tmp_path / "emitted.tsv"
+    code, _, _ = run(
+        capsys, "segment", str(stream), "--classifier", f"replay:{pred}",
+        "--segmenters", segmenters, "--emit-sepp", str(emitted),
+    )
+    assert code == 0
+    assert emitted.read_text(encoding="utf-8") == "".join(rows)
+
+
 def test_segment_emit_sepp_matches_eval_and_sweep(tmp_path, capsys, copernicus_files):
     stream, pred = copernicus_files
     emitted = tmp_path / "emitted.tsv"

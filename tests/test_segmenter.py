@@ -290,6 +290,42 @@ def test_decide_uncovered_word_stays_none():
     assert bounds == {1}
 
 
+def _single_label_row(index, votes):
+    row = [0] * len(LABELS)
+    row[index] = votes
+    return row
+
+
+_VOTE_ROWS = st.one_of(
+    st.just([0] * len(LABELS)),  # covered by no window
+    st.builds(_single_label_row, st.just(0), st.integers(1, 9)),  # only NONE votes
+    st.builds(_single_label_row, st.integers(1, len(LABELS) - 1), st.integers(1, 9)),
+    st.lists(st.integers(0, 3), min_size=len(LABELS), max_size=len(LABELS)),  # ties are common
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_VOTE_ROWS, min_size=1, max_size=12),
+    st.sets(st.sampled_from(LABELS[1:]), min_size=1),
+    st.sampled_from(("per_class", "pooled")),
+)
+def test_decide_matches_the_oracle_on_random_vote_rows(rows, segmenters, pooling):
+    counts = [dict(zip(LABELS, row)) for row in rows]
+    coverage = _coverage(rows)
+    seg_idx = sorted(label.index for label in segmenters)
+    # the strict test flips where theta equals a ratio or, pooled, a summed ratio
+    thetas = {0.0, 1.0}
+    for row, cov in zip(rows, coverage):
+        if cov:
+            thetas.update(votes / cov for votes in row)
+            thetas.add(sum(row[c] / cov for c in seg_idx))
+    for theta in sorted(t for t in thetas if t <= 1.0):
+        cfg = SegmenterConfig(theta=theta, segmenters=frozenset(segmenters), pooling=pooling)
+        expected = brute_force_decide(counts, coverage, theta, segmenters, pooling)
+        assert decide(rows, cfg) == expected
+
+
 def test_segment_constant_none_gives_single_open_segment():
     result = segment(_stream(7), ConstantClassifier(), SegmenterConfig())
     assert result.boundaries == []

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import puncseg
+from oracles import brute_force_sepp_row
 from puncseg.errors import (
     EncodingError,
     SeppConsistencyWarning,
@@ -176,6 +177,32 @@ def _valid_tokens():
 def test_round_trip_identity_property(tokens):
     doc = SeppDocument(tokens)
     assert parse_sepp(write_sepp(doc)).tokens == tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            _valid_tokens().map(lambda tok: tok.word),
+            st.booleans() | st.sampled_from([0, 1, None, ""]),
+            st.sampled_from(list(PunctLabel)),
+        ),
+        max_size=40,
+    )
+)
+def test_write_matches_the_row_oracle_for_any_flag_and_label(rows):
+    # unlike the round trip, this draws the rows a consistent document never
+    # holds (no mark with the flag, a full stop without it), and flags that
+    # are not bools but are read for their truth
+    doc = SeppDocument([LabeledToken(*row) for row in rows])
+    assert write_sepp(doc) == "".join(brute_force_sepp_row(*row) for row in rows)
+
+
+def test_token_is_a_tuple_of_word_flag_and_label():
+    tok = LabeledToken("vraag", False, PunctLabel.COLON)
+    word, eos, label = tok
+    assert (word, eos, label) == ("vraag", False, PunctLabel.COLON) == tok
+    assert (tok.word, tok.eos, tok.label) == tok
 
 
 def test_strip_labels_is_invariant_under_relabeling():
