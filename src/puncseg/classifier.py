@@ -26,6 +26,7 @@ from .errors import (
     LengthMismatchError,
     OutOfRangeError,
     VersionMismatchError,
+    require_int,
 )
 from .sepp import PunctLabel, SeppDocument, atomic_write
 
@@ -176,9 +177,11 @@ def _scores(weights: dict[int, Sequence[float]], ids: Iterable[int]) -> list[flo
 def _sum_rows(rows: Iterable[Sequence[float] | None]) -> list[float]:
     """Per-label sum of ``rows``, added in order; a ``None`` row adds nothing.
 
-    One float local per label of the six-label alphabet: each starts at
-    0.0 and adds its label's rows left to right.  ``sum()`` would differ
-    in the last bits, as it compensates from CPython 3.12.
+    Training scores its examples here; ``LinearModel.classify`` adds the
+    same rows in the same order inline.  One float local per label of the
+    six-label alphabet: each starts at 0.0 and adds its label's rows left
+    to right.  ``sum()`` would differ in the last bits, as it compensates
+    from CPython 3.12.
     """
     s0 = s1 = s2 = s3 = s4 = s5 = 0.0
     for r0, r1, r2, r3, r4, r5 in filter(None, rows):
@@ -198,12 +201,18 @@ class LinearModel:
     makes repeated sliding-window calls cheap.  A context the cache
     misses is scored from the weight rows of its words, which a second
     bounded memo keeps per word: the rows of the word's six feature ids,
-    ``None`` where the model has no row, so each word's ids are hashed
-    and looked up once.  Each weight row is a tuple of floats, which the
-    cyclic garbage collector stops tracking, so a model's rows neither
-    add to a full collection's work nor bring one on sooner.  A label
-    reads words ``j-1 .. j+2``, the offset bucket capped at 4 and
-    ``is_last``, so four words of context on each side decide it.
+    ``_ZERO_ROW`` where the model has no row, so each word's ids are
+    hashed and looked up once.  A call's first miss fetches the rows of
+    every window word, and each missed context adds its eight rows label
+    by label in ``_context_ids`` order.  A zero row in place of an absent
+    one, like a sum that starts at the first row instead of at 0.0, can
+    change a score only in the sign of a zero, which no comparison sees:
+    the labels are those of adding the present rows alone.  Each weight
+    row is a tuple of floats, which the cyclic garbage collector stops
+    tracking, so a model's rows neither add to a full collection's work
+    nor bring one on sooner.  A label reads words ``j-1 .. j+2``, the
+    offset bucket capped at 4 and ``is_last``, so four words of context
+    on each side decide it.
     """
 
     name = "linear"
@@ -215,38 +224,77 @@ class LinearModel:
         self.epochs = epochs
         self._label_cache: dict[tuple, int] = {}
         self._word_rows: dict[str, tuple] = {}
-        self._bucket_rows = {bucket: weights.get(fid) for bucket, fid in _BUCKET_IDS.items()}
-        self._last_rows = tuple(map(weights.get, _LAST_IDS))
+        self._bucket_rows = {b: weights.get(fid, _ZERO_ROW) for b, fid in _BUCKET_IDS.items()}
+        self._last_rows = tuple(weights.get(fid, _ZERO_ROW) for fid in _LAST_IDS)
 
     def _rows(self, word: str) -> tuple:
-        """The weight rows of ``word``'s ``w, p, n, nn, l, s`` ids, ``None`` where there is none."""
+        """The weight rows of ``word``'s ``w, p, n, nn, l, s`` ids, ``_ZERO_ROW`` for none."""
         rows = self._word_rows.get(word)
         if rows is None:
             if len(self._word_rows) >= _WORD_IDS_MAX:
                 self._word_rows.clear()
-            rows = self._word_rows[word] = tuple(map(self.weights.get, _word_ids(word)))
+            get = self.weights.get
+            rows = self._word_rows[word] = tuple([get(fid, _ZERO_ROW) for fid in _word_ids(word)])
         return rows
 
     def classify(self, window: Sequence[str]) -> list[PunctLabel]:
         if not window:
             raise EmptyWindowError("classify needs at least one word")
         cache = self._label_cache
-        rows = self._rows
+        keys = _window_keys(window)
         out: list[PunctLabel] = []
-        for key in _window_keys(window):
+        for key in keys:
+            idx = cache.get(key)
+            if idx is None:
+                break
+            out.append(LABELS[idx])
+        else:
+            return out
+        # the first miss: fetch each window word's rows once, padded like the keys
+        rows = self._rows
+        end = rows(_EOS)
+        padded = [rows(_BOS), *map(rows, window), end, end]
+        bucket_rows = self._bucket_rows
+        last_rows = self._last_rows
+        for j in range(len(out), len(keys)):
+            key = keys[j]
             idx = cache.get(key)
             if idx is None:
                 if len(cache) >= _LABEL_CACHE_MAX:
                     cache.clear()
-                prev, cur, nxt, nxt2, bucket, is_last = key
-                w, _, _, _, lower, shape = rows(cur)
-                # the rows of _context_ids(*key), in its order
-                scores = _sum_rows((
-                    w, rows(prev)[1], rows(nxt)[2], rows(nxt2)[3], lower, shape,
-                    self._bucket_rows[bucket], self._last_rows[is_last],
-                ))
-                # the first maximum: ties go to the earlier label
-                idx = cache[key] = scores.index(max(scores))
+                # the rows of _context_ids(*key), in its order, one float local per label
+                w, _, _, _, l, s = padded[j + 1]
+                w0, w1, w2, w3, w4, w5 = w
+                p0, p1, p2, p3, p4, p5 = padded[j][1]
+                n0, n1, n2, n3, n4, n5 = padded[j + 2][2]
+                nn0, nn1, nn2, nn3, nn4, nn5 = padded[j + 3][3]
+                l0, l1, l2, l3, l4, l5 = l
+                s0, s1, s2, s3, s4, s5 = s
+                b0, b1, b2, b3, b4, b5 = bucket_rows[key[4]]
+                last0, last1, last2, last3, last4, last5 = last_rows[key[5]]
+                a0 = w0 + p0 + n0 + nn0 + l0 + s0 + b0 + last0
+                a1 = w1 + p1 + n1 + nn1 + l1 + s1 + b1 + last1
+                a2 = w2 + p2 + n2 + nn2 + l2 + s2 + b2 + last2
+                a3 = w3 + p3 + n3 + nn3 + l3 + s3 + b3 + last3
+                a4 = w4 + p4 + n4 + nn4 + l4 + s4 + b4 + last4
+                a5 = w5 + p5 + n5 + nn5 + l5 + s5 + b5 + last5
+                # the first maximum: a later label must score strictly higher
+                idx = 0
+                if a1 > a0:
+                    a0 = a1
+                    idx = 1
+                if a2 > a0:
+                    a0 = a2
+                    idx = 2
+                if a3 > a0:
+                    a0 = a3
+                    idx = 3
+                if a4 > a0:
+                    a0 = a4
+                    idx = 4
+                if a5 > a0:
+                    idx = 5
+                cache[key] = idx
             out.append(LABELS[idx])
         return out
 
@@ -285,10 +333,15 @@ def train_reference(
     the seeded RNG, and the returned weights are the running average over
     every training step.  Updates fire whenever the gold label fails to
     strictly outscore every other label (the zero-margin variant), which
-    keeps the averaged weights from drifting on ties.  The model file
-    stores ``seed`` as int64 and ``epochs`` as uint32, so values outside
-    those ranges raise ``OutOfRangeError`` before any work.
+    keeps the averaged weights from drifting on ties.  ``epochs``,
+    ``seed`` and ``window_words`` must be ints (ConfigError otherwise).
+    The model file stores ``seed`` as int64 and ``epochs`` as uint32, so
+    values outside those ranges raise ``OutOfRangeError``.  Both checks
+    come before any work.
     """
+    require_int("epochs", epochs)
+    require_int("seed", seed)
+    require_int("window_words", window_words)
     if not -(2**63) <= seed < 2**63:
         raise OutOfRangeError(f"seed {seed} does not fit a signed 64-bit integer")
     if not 0 <= epochs < 2**32:

@@ -15,6 +15,7 @@ import contextlib
 import dataclasses
 import os
 import sys
+from itertools import repeat
 
 from . import metrics, segmenter, textprep
 from .classifier import Classifier, ReplayClassifier, load_model, save_model, train_reference
@@ -157,7 +158,9 @@ def _predictions_document(
     eos = [lab is period for lab in labels]
     for i in boundaries:
         eos[i] = True
-    return SeppDocument(list(map(LabeledToken, words, eos, labels)), source_id=source_id)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__, once per token
+    tokens = list(map(tuple.__new__, repeat(LabeledToken), zip(words, eos, labels)))
+    return SeppDocument(tokens, source_id=source_id)
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:

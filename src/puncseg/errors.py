@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the toolkit.
+"""Exception and warning types shared across the toolkit, and one argument check.
 
 Every error carries a stable ``code`` string so that tests and the CLI can
 match on the failure class without parsing messages.
@@ -115,6 +115,12 @@ class WordMismatchError(ToolkitError):
 
 class ConfigError(ToolkitError, ValueError):
     code = "CONFIG"
+
+
+def require_int(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is an int; a bool is not one."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an int, not {value!r}")
 
 
 class UnwritableWordError(ToolkitError, ValueError):

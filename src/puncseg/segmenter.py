@@ -36,7 +36,13 @@ from numbers import Real
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .classifier import LABELS, N_LABELS, Classifier
-from .errors import ConfigError, EmptyStreamError, OutOfRangeError, WindowClassifyError
+from .errors import (
+    ConfigError,
+    EmptyStreamError,
+    OutOfRangeError,
+    WindowClassifyError,
+    require_int,
+)
 from .sepp import DEFAULT_SEGMENTERS, PunctLabel
 
 
@@ -51,9 +57,8 @@ class SegmenterConfig:
     pooling: str = "per_class"
 
     def __post_init__(self) -> None:
-        for name in ("window_words", "stride"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an int, not {getattr(self, name)!r}")
+        require_int("window_words", self.window_words)
+        require_int("stride", self.stride)
         if self.window_words < 1:
             raise ConfigError("window_words must be positive")
         if self.stride < 1:
@@ -127,6 +132,7 @@ def classify_chunked(
     """Label ``words`` in calls of at most min(window_words, classifier limit) words."""
     if not words:
         raise EmptyStreamError("cannot classify an empty document")
+    require_int("window_words", window_words)
     if window_words < 1:
         raise OutOfRangeError(f"window_words {window_words} must be at least 1")
     limit, _ = _capabilities(classifier)

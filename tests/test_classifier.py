@@ -24,6 +24,7 @@ from puncseg.classifier import (
 )
 from puncseg.errors import (
     BadMagicError,
+    ConfigError,
     CorruptModelError,
     EmptyTrainingSetError,
     EmptyWindowError,
@@ -140,6 +141,24 @@ def test_window_words_below_one_rejected_before_training(window_words):
     # training tokens in a corpus that has them
     with pytest.raises(OutOfRangeError, match="window_words"):
         train_reference([_abc_corpus(5)], epochs=1, seed=0, window_words=window_words)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("seed", 0.5), ("seed", True), ("epochs", 1.5), ("epochs", True),
+     ("window_words", 2.5), ("window_words", True)],
+)
+def test_arguments_that_are_not_ints_rejected_before_training(monkeypatch, name, value):
+    from puncseg import classifier
+
+    def pool(*args):
+        raise AssertionError("training began")
+
+    monkeypatch.setattr(classifier, "_pooled_examples", pool)
+    kwargs = {"epochs": 1, "seed": 0, name: value}
+    with pytest.raises(ConfigError, match=f"{name} must be an int") as err:
+        train_reference([_abc_corpus(5)], **kwargs)
+    assert err.value.code == "CONFIG"
 
 
 @pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
@@ -494,6 +513,15 @@ def test_scores_add_rows_bit_for_bit_like_the_in_place_loop():
 _WEIGHT_VALUES = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.1]
 
 
+def _oracle_labels(weights, window):
+    """The first argmax of the oracle scores at each window position."""
+    want = []
+    for key in _window_keys(window):
+        scores = brute_force_scores(weights, brute_force_context_ids(*key))
+        want.append(LABELS[scores.index(max(scores))])
+    return want
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -506,11 +534,40 @@ def test_classify_takes_the_first_argmax_of_the_oracle_scores(window, data):
     ids = sorted({fid for key in keys for fid in brute_force_context_ids(*key)})
     row = st.tuples(*[st.sampled_from(_WEIGHT_VALUES)] * N_LABELS)
     weights = {fid: data.draw(row) for fid in ids if data.draw(st.booleans())}  # some have none
-    want = []
-    for key in keys:
-        scores = brute_force_scores(weights, brute_force_context_ids(*key))
-        want.append(LABELS[scores.index(max(scores))])
+    want = _oracle_labels(weights, window)
     assert LinearModel(weights).classify(window) == want
+    # pre-warm a random subset of the contexts, so the first miss, which
+    # fetches the window's rows, lands at a random offset
+    model = LinearModel(weights)
+    for key, label in zip(keys, want):
+        if data.draw(st.booleans()):
+            model._label_cache[key] = LABELS.index(label)
+    assert model.classify(window) == want
+    assert model.classify(window) == want  # now every context hits
+
+
+def test_a_call_whose_contexts_all_hit_the_cache_fetches_no_rows():
+    model = train_reference([template_corpus(200, seed=3)], epochs=2, seed=0)
+    window = [t.word for t in template_corpus(20, seed=5).tokens][:60] + ["x", "İstanbul"]
+    first = model.classify(window)
+    fetched = []
+    rows = model._rows
+    model._rows = lambda word: fetched.append(word) or rows(word)
+    assert model.classify(window) == first
+    assert fetched == []
+    longer = window + ["y"]  # new contexts: the rows of <s>, </s> and every word are fetched
+    assert model.classify(longer) == _oracle_labels(model.weights, longer)
+    assert sorted(fetched) == sorted(["<s>", "</s>", *longer])
+
+
+def test_label_cache_stays_within_its_bound_inside_one_long_call(monkeypatch):
+    from puncseg import classifier
+
+    monkeypatch.setattr(classifier, "_LABEL_CACHE_MAX", 50)
+    model = train_reference([template_corpus(200, seed=3)], epochs=2, seed=0)
+    window = [f"w{i}" for i in range(120)]  # 120 distinct contexts
+    assert model.classify(window) == _oracle_labels(model.weights, window)
+    assert 0 < len(model._label_cache) <= 50
 
 
 @pytest.mark.parametrize("first, second", [(1, 2), (2, N_LABELS - 1), (0, 3)])
@@ -540,11 +597,7 @@ def test_word_id_memo_stays_bounded_and_labels_match_the_oracle(monkeypatch):
         seen.update(window)
         got = model.classify(window)
         assert len(classifier._WORD_IDS) <= 50
-        want = []
-        for key in _window_keys(window):
-            scores = brute_force_scores(model.weights, brute_force_context_ids(*key))
-            want.append(LABELS[scores.index(max(scores))])
-        assert got == want
+        assert got == _oracle_labels(model.weights, window)
     assert len(seen) > 4 * 50
 
 
@@ -564,9 +617,5 @@ def test_word_row_memo_stays_bounded_and_labels_match_the_oracle_after_a_clear(m
         got = model.classify(window)
         assert len(model._word_rows) <= 50
         clears += len(model._word_rows) < before
-        want = []
-        for key in _window_keys(window):
-            scores = brute_force_scores(model.weights, brute_force_context_ids(*key))
-            want.append(LABELS[scores.index(max(scores))])
-        assert got == want
+        assert got == _oracle_labels(model.weights, window)
     assert clears >= 3

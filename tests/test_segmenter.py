@@ -890,6 +890,16 @@ def test_classify_chunked_rejects_a_window_below_one_before_any_call(trained, wi
     assert counting.calls == []
 
 
+@pytest.mark.parametrize("window_words", [2.5, "8", True], ids=["float", "str", "bool"])
+def test_classify_chunked_rejects_a_window_that_is_not_an_int_before_any_call(
+    trained, window_words
+):
+    counting = Counting(trained)
+    with pytest.raises(ConfigError, match="window_words must be an int"):
+        classify_chunked(counting, ["een", "twee", "drie"], window_words)
+    assert counting.calls == []
+
+
 def test_window_invariant_path_calls_classify_directly_and_announces_nothing(trained):
     stream = _random_stream(random.Random(12), 300)
     cfg = SegmenterConfig(window_words=40, stride=1)
