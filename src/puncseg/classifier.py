@@ -13,6 +13,8 @@ adapter for external models lives in :mod:`puncseg.external`.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 import struct
 import zlib
@@ -333,7 +335,11 @@ def train_reference(
     the seeded RNG, and the returned weights are the running average over
     every training step.  Updates fire whenever the gold label fails to
     strictly outscore every other label (the zero-margin variant), which
-    keeps the averaged weights from drifting on ties.  ``epochs``,
+    keeps the averaged weights from drifting on ties.  Weights change only
+    in an update, so an example scored correct, or one equal to it, is not
+    scored again until the next update, and the epochs after one without
+    a mistake are not run: every skipped step still counts toward the
+    average, and the weights equal those of scoring every step.  ``epochs``,
     ``seed`` and ``window_words`` must be ints (ConfigError otherwise).
     The model file stores ``seed`` as int64 and ``epochs`` as uint32, so
     values outside those ranges raise ``OutOfRangeError``.  Both checks
@@ -368,24 +374,45 @@ def train_reference(
         st[c] = step - 1
         row[c] += delta
 
+    # The examples are sorted, so equal ones are adjacent: each run of them
+    # is one slot, and ``order`` holds each example's slot.  A shuffle moves
+    # positions whatever they hold, so it permutes the slots exactly as it
+    # would the example indices.
+    starts = list(map(operator.ne, examples[1:], examples))
+    order = list(itertools.accumulate(starts, initial=0))
+    distinct = [examples[0], *itertools.compress(examples[1:], starts)]
+    # clean_at[slot] == updates: the slot scored correct and no update has
+    # come since, so the unchanged weights would score it correct again
+    clean_at = [-1] * len(distinct)
+    updates = 0
+    settled = -1
+    beaten = -math.inf
     rng = random.Random(seed)
-    order = list(range(len(examples)))
-    step = 0
-    for _ in range(epochs):
+    for epoch in range(epochs):
+        if updates == settled:
+            break  # the last epoch made no mistake: every slot stays clean
+        settled = updates
         rng.shuffle(order)
-        for ei in order:
-            ids, gold = examples[ei]
-            step += 1
+        for step, slot in enumerate(order, epoch * len(order) + 1):
+            if clean_at[slot] == updates:
+                continue
+            ids, gold = distinct[slot]
             scores = _scores(weights, ids)
-            rival = 0 if gold != 0 else 1
-            for c in range(N_LABELS):
-                if c != gold and scores[c] > scores[rival]:
-                    rival = c
-            if scores[gold] <= scores[rival]:
+            # the rival is the first label but gold with the top score; the
+            # weights are whole numbers, so no score is NaN
+            score = scores[gold]
+            scores[gold] = beaten
+            top = max(scores)
+            if score <= top:
+                rival = scores.index(top)
+                updates += 1
                 for fid in ids:
                     update(fid, gold, 1.0, step)
                     update(fid, rival, -1.0, step)
+            else:
+                clean_at[slot] = updates
 
+    step = epochs * len(order)
     averaged: dict[int, tuple[float, ...]] = {}
     if step:
         for fid, row in weights.items():

@@ -9,6 +9,8 @@ test for comparing two conditions over the same test files.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 import statistics
 from dataclasses import astuple, dataclass, fields
@@ -20,6 +22,7 @@ from .errors import (
     LengthMismatchError,
     OutOfRangeError,
     TooShortError,
+    require_int,
 )
 from .sepp import REPORT_ORDER, PunctLabel, SeppDocument
 
@@ -195,6 +198,11 @@ def summarize(scores: Sequence[float]) -> DistributionSummary:
     )
 
 
+#: Maps each byte to its top bit, which is that of the 32-bit word whose
+#: most significant byte it is in a little-endian ``getrandbits`` result.
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
 def paired_significance(
     scores_a: Sequence[float],
     scores_b: Sequence[float],
@@ -206,8 +214,16 @@ def paired_significance(
     The statistic is the mean difference.  When ``permutations`` is at
     least 2**n the test enumerates all sign patterns exactly and returns
     count / 2**n; otherwise it samples with the seeded RNG and returns
-    (1 + count) / (1 + permutations).
+    (1 + count) / (1 + permutations).  A sampled pattern keeps the sign
+    of difference ``i`` when the top bit of the RNG's ``i``-th successive
+    32-bit output is set, the bit ``getrandbits(1)`` returns; its ``n``
+    bits come from one ``getrandbits(32 * n)`` call.  ``permutations``
+    and ``seed`` must be ints (ConfigError otherwise), and a score that
+    is NaN or infinite, or a difference that overflows, raises
+    OutOfRangeError; both checks come before any permutation.
     """
+    require_int("permutations", permutations)
+    require_int("seed", seed)
     if permutations < 1:
         raise OutOfRangeError(f"permutations must be at least 1, got {permutations}")
     if len(scores_a) != len(scores_b):
@@ -218,21 +234,26 @@ def paired_significance(
     if n < 2:
         raise TooShortError("need at least 2 paired scores")
     diffs = [a - b for a, b in zip(scores_a, scores_b)]
+    if not all(map(math.isfinite, diffs)):
+        raise OutOfRangeError("scores and their differences must be finite")
     observed = abs(sum(diffs) / n)
+    # signed[i][1] is diffs[i] and signed[i][0] its negation: a pattern of
+    # 0/1 signs picks one per difference, and sum() adds them in order
+    signed = [(-d, d) for d in diffs]
+    pick = operator.getitem
 
     if 2**n <= permutations:
         count = 0
-        for signs in itertools.product((1.0, -1.0), repeat=n):
-            stat = abs(sum(d * s for d, s in zip(diffs, signs)) / n)
-            if stat >= observed:
+        for signs in itertools.product((1, 0), repeat=n):
+            if abs(sum(map(pick, signed, signs)) / n) >= observed:
                 count += 1
         return count / 2**n
 
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     count = 0
     for _ in range(permutations):
-        stat = abs(sum(d if rng.getrandbits(1) else -d for d in diffs) / n)
-        if stat >= observed:
+        signs = getrandbits(32 * n).to_bytes(4 * n, "little")[3::4].translate(_TOP_BIT)
+        if abs(sum(map(pick, signed, signs)) / n) >= observed:
             count += 1
     return (1 + count) / (1 + permutations)
 

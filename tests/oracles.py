@@ -6,6 +6,8 @@ production vote/decide code paths.
 
 from __future__ import annotations
 
+import itertools
+import random
 import zlib
 
 from puncseg.sepp import PunctLabel
@@ -56,6 +58,81 @@ def brute_force_scores(weights, ids):
             for c in range(len(LABELS)):
                 scores[c] += row[c]
     return scores
+
+
+def brute_force_train(examples, epochs, seed):
+    """Averaged perceptron weights from scoring every step, rows as tuples.
+
+    ``examples`` are the pooled (feature ids, gold) pairs in their sorted
+    order; each epoch shuffles their indices with the seeded RNG and scores
+    every example, updating on a zero-margin mistake."""
+    n_labels = len(LABELS)
+    weights = {}
+    totals = {}
+    stamps = {}
+
+    def update(fid, c, delta, step):
+        row = weights.get(fid)
+        if row is None:
+            row = weights[fid] = [0.0] * n_labels
+            totals[fid] = [0.0] * n_labels
+            stamps[fid] = [0] * n_labels
+        tot = totals[fid]
+        st = stamps[fid]
+        tot[c] += row[c] * (step - 1 - st[c])
+        st[c] = step - 1
+        row[c] += delta
+
+    rng = random.Random(seed)
+    order = list(range(len(examples)))
+    step = 0
+    for _ in range(epochs):
+        rng.shuffle(order)
+        for ei in order:
+            ids, gold = examples[ei]
+            step += 1
+            scores = brute_force_scores(weights, ids)
+            rival = 0 if gold != 0 else 1
+            for c in range(n_labels):
+                if c != gold and scores[c] > scores[rival]:
+                    rival = c
+            if scores[gold] <= scores[rival]:
+                for fid in ids:
+                    update(fid, gold, 1.0, step)
+                    update(fid, rival, -1.0, step)
+
+    averaged = {}
+    if step:
+        for fid, row in weights.items():
+            tot = totals[fid]
+            st = stamps[fid]
+            avg = tuple([(tot[c] + row[c] * (step - st[c])) / step for c in range(n_labels)])
+            if any(avg):
+                averaged[fid] = avg
+    return averaged
+
+
+def brute_force_significance(scores_a, scores_b, permutations, seed):
+    """The sign-flip p-value, drawing one ``getrandbits(1)`` per sampled sign."""
+    n = len(scores_a)
+    diffs = [a - b for a, b in zip(scores_a, scores_b)]
+    observed = abs(sum(diffs) / n)
+
+    if 2**n <= permutations:
+        count = 0
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            stat = abs(sum(d * s for d, s in zip(diffs, signs)) / n)
+            if stat >= observed:
+                count += 1
+        return count / 2**n
+
+    rng = random.Random(seed)
+    count = 0
+    for _ in range(permutations):
+        stat = abs(sum(d if rng.getrandbits(1) else -d for d in diffs) / n)
+        if stat >= observed:
+            count += 1
+    return (1 + count) / (1 + permutations)
 
 
 def brute_force_votes(stream, classifier, window_words, stride):

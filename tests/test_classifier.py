@@ -2,13 +2,15 @@ import gc
 import hashlib
 import random
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import template_corpus
-from oracles import brute_force_context_ids, brute_force_scores
+from oracles import brute_force_context_ids, brute_force_scores, brute_force_train
 from puncseg.classifier import (
     FEATURE_SPACE,
     LABELS,
@@ -18,6 +20,7 @@ from puncseg.classifier import (
     load_model,
     save_model,
     _context_ids,
+    _pooled_examples,
     _scores,
     _window_keys,
     train_reference,
@@ -36,6 +39,7 @@ from puncseg.sepp import LabeledToken, PunctLabel, SeppDocument
 
 N = PunctLabel.NONE
 P = PunctLabel.PERIOD
+C = PunctLabel.COMMA
 
 
 def _abc_corpus(n_sentences=60):
@@ -98,6 +102,78 @@ def test_training_invariant_to_document_order():
     m1 = train_reference([doc_a, doc_b], epochs=3, seed=4)
     m2 = train_reference([doc_b, doc_a], epochs=3, seed=4)
     assert m1.weights == m2.weights
+
+
+def _model_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model(model, path)
+        return path.read_bytes()
+
+
+def _doc(pairs):
+    return SeppDocument([LabeledToken(word, label is P, label) for word, label in pairs])
+
+
+@st.composite
+def _contradicting_corpora(draw):
+    """Documents of sentences drawn, with repeats, from a small pool, and
+    twin documents of the same words with one label changed, so that one
+    context is seen with two gold labels and recurs as a mistake."""
+    label = st.sampled_from(LABELS)
+    sentence = st.lists(st.tuples(st.sampled_from(["a", "b", "Dat", "1"]), label),
+                        min_size=1, max_size=5)
+    pool = draw(st.lists(sentence, min_size=1, max_size=4))
+    docs = [
+        _doc([pair for picked in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+              for pair in picked])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    twin = draw(sentence)
+    j = draw(st.integers(0, len(twin) - 1))
+    other = draw(label.filter(lambda lab: lab is not twin[j][1]))
+    docs += [_doc(twin), _doc(twin[:j] + [(twin[j][0], other)] + twin[j + 1 :])]
+    return docs
+
+
+@settings(max_examples=150, deadline=None)
+@given(_contradicting_corpora(), st.integers(0, 4), st.integers(-(2**63), 2**63 - 1),
+       st.integers(1, 6))
+def test_training_equals_the_oracle_that_scores_every_step(docs, epochs, seed, window_words):
+    model = train_reference(docs, epochs=epochs, seed=seed, window_words=window_words)
+    want = brute_force_train(_pooled_examples(docs, window_words), epochs, seed)
+    assert _model_bytes(model) == _model_bytes(LinearModel(want, seed=seed, epochs=epochs))
+
+
+def _scored(monkeypatch, docs, epochs):
+    """The feature ids of every example ``train_reference`` scores, in order."""
+    from puncseg import classifier
+
+    scored = []
+    monkeypatch.setattr(
+        classifier, "_scores", lambda weights, ids: scored.append(ids) or _scores(weights, ids)
+    )
+    train_reference(docs, epochs=epochs, seed=0)
+    return scored
+
+
+def test_an_example_scored_correct_is_not_scored_again_before_an_update(monkeypatch):
+    # fifty copies of one example: a mistake, then a correct score, then no more
+    assert len(_scored(monkeypatch, [_doc([("ja", P)])] * 50, epochs=5)) == 2
+    # nine distinct contexts, every mistake in epoch 1: epochs 2 to 5 score nothing
+    first = _scored(monkeypatch, [_abc_corpus()], epochs=1)
+    assert len(first) < 180
+    assert _scored(monkeypatch, [_abc_corpus()], epochs=5) == first
+
+
+def test_examples_that_disagree_are_scored_again_in_every_epoch(monkeypatch):
+    docs = [_abc_corpus(), _doc([("x", N), ("y", P)]), _doc([("x", N), ("y", C)])]
+    disputed = _context_ids("x", "y", "</s>", "</s>", "1", True)
+    scored = [_scored(monkeypatch, docs, epochs) for epochs in range(1, 6)]
+    for before, after in zip(scored, scored[1:]):
+        # the same RNG draws, so one epoch more scores a prefix, then more
+        assert after[: len(before)] == before
+        assert disputed in after[len(before) :]
 
 
 def test_length_contract_on_random_windows():

@@ -1,10 +1,15 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import brute_force_significance
 from puncseg.errors import (
+    ConfigError,
     EmptyMatrixError,
     EmptyScoresError,
     LengthMismatchError,
@@ -396,6 +401,61 @@ def test_paired_rejects_fewer_than_one_permutation(permutations):
     # 2**2 <= permutations never holds, so these would reach the sampling branch
     with pytest.raises(OutOfRangeError):
         paired_significance([0.1, 0.5], [0.2, 0.3], permutations=permutations)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("permutations", 2.5), ("permutations", True), ("permutations", "100"),
+     ("seed", 0.5), ("seed", "x"), ("seed", True), ("seed", None)],
+)
+def test_paired_rejects_arguments_that_are_not_ints(name, value):
+    # checked before the lengths: these lists would raise LengthMismatchError
+    kwargs = {"permutations": 100, "seed": 0, name: value}
+    with pytest.raises(ConfigError, match=f"{name} must be an int") as err:
+        paired_significance([0.1, 0.5], [0.2], **kwargs)
+    assert err.value.code == "CONFIG"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("permutations", [4, 100])  # exhaustive, then sampled
+def test_paired_rejects_a_score_that_is_not_finite(bad, permutations):
+    for a, b in (([bad, 0.1, 0.2], [0.1] * 3), ([0.1] * 3, [0.2, bad, 0.1])):
+        with pytest.raises(OutOfRangeError, match="finite") as err:
+            paired_significance(a, b, permutations=permutations)
+        assert err.value.code == "OUT_OF_RANGE"
+    # finite scores whose difference overflows are refused the same way
+    with pytest.raises(OutOfRangeError, match="finite"):
+        paired_significance([1e308, 0.0], [-1e308, 0.0], permutations=permutations)
+
+
+_SCORE = st.sampled_from([0.0, -0.0, 0.5, 1.0, 0.1, 1 / 3, 2 / 3]) | st.floats(0, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(_SCORE, _SCORE), min_size=2, max_size=150),
+    st.integers(1, 500),
+    st.integers(-(2**64), 2**64),
+)
+def test_paired_significance_equals_the_per_bit_oracle(pairs, permutations, seed):
+    # repeated values give repeated, zero and -0.0 differences; for n <= 8
+    # permutations falls on both sides of 2**n, so both branches are drawn
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    got = paired_significance(a, b, permutations=permutations, seed=seed)
+    assert got == brute_force_significance(a, b, permutations, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20, -7, 2**70])
+@pytest.mark.parametrize("n", [1, 2, 101])
+def test_getrandbits_packs_successive_32_bit_outputs_least_significant_first(seed, n):
+    # the sampled signs rely on this: if a Python changes it, p-values would
+    # change silently, so it fails here instead
+    rng = random.Random(seed)
+    words = [rng.getrandbits(32) for _ in range(n)]
+    assert random.Random(seed).getrandbits(32 * n) == sum(w << (32 * i) for i, w in enumerate(words))
+    rng = random.Random(seed)
+    assert [rng.getrandbits(1) for _ in range(n)] == [w >> 31 for w in words]
 
 
 def test_format_report_shape():
