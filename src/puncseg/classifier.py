@@ -172,21 +172,16 @@ _ZERO_ROW = (0.0,) * N_LABELS
 
 
 def _scores(weights: dict[int, Sequence[float]], ids: Iterable[int]) -> list[float]:
-    """Per-label sum of the weight rows of ``ids``, added in ``ids`` order."""
-    return _sum_rows(map(weights.get, ids))
-
-
-def _sum_rows(rows: Iterable[Sequence[float] | None]) -> list[float]:
-    """Per-label sum of ``rows``, added in order; a ``None`` row adds nothing.
+    """Per-label sum of the weight rows of ``ids``, added in ``ids`` order.
 
     Training scores its examples here; ``LinearModel.classify`` adds the
-    same rows in the same order inline.  One float local per label of the
-    six-label alphabet: each starts at 0.0 and adds its label's rows left
-    to right.  ``sum()`` would differ in the last bits, as it compensates
-    from CPython 3.12.
+    same rows in the same order inline.  An id with no row adds nothing.
+    One float local per label of the six-label alphabet: each starts at
+    0.0 and adds its label's rows left to right.  ``sum()`` would differ
+    in the last bits, as it compensates from CPython 3.12.
     """
     s0 = s1 = s2 = s3 = s4 = s5 = 0.0
-    for r0, r1, r2, r3, r4, r5 in filter(None, rows):
+    for r0, r1, r2, r3, r4, r5 in filter(None, map(weights.get, ids)):
         s0 += r0
         s1 += r1
         s2 += r2

@@ -3,9 +3,11 @@
 Subcommands: prepare, split, train, classify, segment, eval-labels,
 eval-boundaries, sweep, significance.  Shared segmenter/classifier
 settings can come from an optional ``key = value`` config file; flags
-override file values, and unknown config keys fail fast.  Data goes to
-files or stdout, diagnostics to stderr, and output files are written
-atomically (write then rename).
+override file values, and unknown config keys fail fast.  A file may
+hold every shared key, but a subcommand takes flags only for the
+settings it reads and ignores the other keys.  Data goes to files or
+stdout, diagnostics to stderr, and output files are written atomically
+(write then rename).
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     docs = [parse_sepp_file(p) for p in args.inputs]
-    spec = textprep.SplitSpec(train_fraction=args.fraction, seed=args.seed or 0, unit=args.unit)
+    spec = textprep.SplitSpec(train_fraction=args.fraction, seed=args.seed, unit=args.unit)
     train, test = textprep.split_corpus(docs, spec)
     train_rows = "".join(write_sepp(d) for d in train)
     test_rows = "".join(write_sepp(d) for d in test)  # both built before either is written
@@ -309,8 +311,7 @@ def _condition_scores(
     for block in blocks:
         words = strip_labels(block)
         gold_bounds = metrics.boundaries_from_document(block, cfg.segmenters)
-        votes = segmenter.accumulate_votes(words, classifier, cfg)
-        _, bounds = segmenter.decide(votes, cfg)
+        bounds = segmenter.segment(words, classifier, cfg).boundaries
         scores.append(metrics.boundary_score(gold_bounds, bounds).f1)
     return scores
 
@@ -337,14 +338,15 @@ def cmd_significance(args: argparse.Namespace) -> int:
         table = [("block", "f1_a", "f1_b"), *zip(range(len(scores_a)), scores_a, scores_b)]
         atomic_write(args.scores_out, metrics.tsv(table))
     p = metrics.paired_significance(
-        scores_a, scores_b, permutations=args.permutations, seed=args.seed or 0
+        scores_a, scores_b, permutations=args.permutations, seed=args.seed
     )
     sys.stdout.write(metrics.tsv([("p_value", f"{p:.6g}")]))
     return 0
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    for key, (kind, _, help_text) in _SHARED.items():
+def _add_shared(parser: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        kind, _, help_text = _SHARED[key]
         choices = ["per_class", "pooled"] if key == "pooling" else None
         parser.add_argument(f"--{key}", type=kind, choices=choices, help=help_text)
     parser.add_argument("--config", default=None, help="key = value settings file")
@@ -368,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-out", required=True)
     p.add_argument("--test-out", required=True)
     p.add_argument("--fraction", type=float, default=0.75)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--unit", choices=["sentence", "document"], default="sentence")
     p.set_defaults(func=cmd_split)
 
@@ -376,20 +378,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=5)
-    _add_shared(p)
+    _add_shared(p, "window", "seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="single-pass token labels for a SEPP file's words")
     p.add_argument("input")
     p.add_argument("--out", default=None)
-    _add_shared(p)
+    _add_shared(p, "window", "classifier")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("segment", help="segment a plain word-stream file")
     p.add_argument("input")
     p.add_argument("--out", default=None)
     p.add_argument("--emit-sepp", default=None, help="also write predicted labels as SEPP")
-    _add_shared(p)
+    _add_shared(p, "window", "stride", "theta", "segmenters", "pooling", "classifier")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("eval-labels", help="label-level report of pred SEPP against gold SEPP")
@@ -402,14 +404,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gold")
     p.add_argument("pred")
     p.add_argument("--out", default=None)
-    _add_shared(p)
+    _add_shared(p, "segmenters")
     p.set_defaults(func=cmd_eval_boundaries)
 
     p = sub.add_parser("sweep", help="boundary scores over a list of theta values")
+    p.allow_abbrev = False  # --theta would otherwise abbreviate --thetas
     p.add_argument("gold")
     p.add_argument("--thetas", required=True, help="comma or space separated theta values")
     p.add_argument("--out", default=None)
-    _add_shared(p)
+    _add_shared(p, "window", "stride", "segmenters", "pooling", "classifier")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config-b", required=True)
     p.add_argument("--block-size", type=int, required=True, help="sentences per test file")
     p.add_argument("--permutations", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--scores-out", default=None, help="per-block score table for plotting")
     p.set_defaults(func=cmd_significance)

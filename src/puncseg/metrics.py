@@ -218,9 +218,11 @@ def paired_significance(
     of difference ``i`` when the top bit of the RNG's ``i``-th successive
     32-bit output is set, the bit ``getrandbits(1)`` returns; its ``n``
     bits come from one ``getrandbits(32 * n)`` call.  ``permutations``
-    and ``seed`` must be ints (ConfigError otherwise), and a score that
-    is NaN or infinite, or a difference that overflows, raises
-    OutOfRangeError; both checks come before any permutation.
+    and ``seed`` must be ints (ConfigError otherwise).  A NaN or infinite
+    score, or differences whose sum can overflow, raise OutOfRangeError
+    before any permutation.  Rounding is monotone and symmetric, so if the
+    left-to-right sum of every ``|d_i|`` is finite, so is every partial
+    sum of every sign pattern: that one sum is the only check needed.
     """
     require_int("permutations", permutations)
     require_int("seed", seed)
@@ -234,8 +236,8 @@ def paired_significance(
     if n < 2:
         raise TooShortError("need at least 2 paired scores")
     diffs = [a - b for a, b in zip(scores_a, scores_b)]
-    if not all(map(math.isfinite, diffs)):
-        raise OutOfRangeError("scores and their differences must be finite")
+    if not math.isfinite(sum(map(abs, diffs))):
+        raise OutOfRangeError("scores and the sum of their differences must be finite")
     observed = abs(sum(diffs) / n)
     # signed[i][1] is diffs[i] and signed[i][0] its negation: a pattern of
     # 0/1 signs picks one per difference, and sum() adds them in order

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from corpora import template_corpus
-from puncseg.cli import build_parser, main, resolve_settings
+from puncseg import cli, metrics, segmenter
+from puncseg.classifier import load_model, save_model, train_reference
+from puncseg.cli import _SHARED, build_parser, main, resolve_settings
 from puncseg.sepp import (
     LabeledToken,
     PunctLabel,
@@ -26,6 +28,7 @@ from sample_streams import (
 N = PunctLabel.NONE
 P = PunctLabel.PERIOD
 C = PunctLabel.COMMA
+Q = PunctLabel.QUESTION
 
 
 def run(capsys, *argv):
@@ -217,7 +220,9 @@ def test_segment_emit_sepp_matches_eval_and_sweep(tmp_path, capsys, copernicus_f
     )
     assert code == 0
 
-    code, eval_out, _ = run(capsys, "eval-boundaries", str(gold), str(emitted), *shared)
+    code, eval_out, _ = run(
+        capsys, "eval-boundaries", str(gold), str(emitted), "--segmenters", "."
+    )
     assert code == 0
 
     code, sweep_out, _ = run(
@@ -577,8 +582,10 @@ def test_flag_and_config_line_resolve_to_the_same_value(tmp_path, key, raw, valu
     cfg = tmp_path / "seg.cfg"
     cfg.write_text(f"{key} = {raw}\n", encoding="utf-8")
     parser = build_parser()
-    by_flag = resolve_settings(parser.parse_args(["segment", "in.txt", f"--{key}", raw]))
-    by_file = resolve_settings(parser.parse_args(["segment", "in.txt", "--config", str(cfg)]))
+    # each key goes through a subcommand that reads it: only train reads seed
+    argv = ["train", "in.tsv", "--out", "m.bin"] if key == "seed" else ["segment", "in.txt"]
+    by_flag = resolve_settings(parser.parse_args([*argv, f"--{key}", raw]))
+    by_file = resolve_settings(parser.parse_args([*argv, "--config", str(cfg)]))
     assert by_flag == by_file
     assert by_flag[key] == value and type(by_flag[key]) is type(value)
 
@@ -605,8 +612,7 @@ usage: puncseg segment [-h] [--out OUT] [--emit-sepp EMIT_SEPP]
                        [--window WINDOW] [--stride STRIDE] [--theta THETA]
                        [--segmenters SEGMENTERS]
                        [--pooling {per_class,pooled}]
-                       [--classifier CLASSIFIER] [--seed SEED]
-                       [--config CONFIG]
+                       [--classifier CLASSIFIER] [--config CONFIG]
                        input
 
 positional arguments:
@@ -627,7 +633,6 @@ options:
   --classifier CLASSIFIER
                         builtin:<model path> | external:<command> |
                         replay:<sepp path>
-  --seed SEED           RNG seed
   --config CONFIG       key = value settings file
 """
 
@@ -638,6 +643,187 @@ def test_segment_help_golden_bytes(capsys, monkeypatch):
         main(["segment", "--help"])
     assert exc_info.value.code == 0
     assert capsys.readouterr().out == SEGMENT_HELP
+
+
+#: ``--help`` at COLUMNS=80 of the other subcommands that take shared settings.
+HELP = {
+    "train": """\
+usage: puncseg train [-h] --out OUT [--epochs EPOCHS] [--window WINDOW]
+                     [--seed SEED] [--config CONFIG]
+                     inputs [inputs ...]
+
+positional arguments:
+  inputs
+
+options:
+  -h, --help       show this help message and exit
+  --out OUT
+  --epochs EPOCHS
+  --window WINDOW  sliding window size in words
+  --seed SEED      RNG seed
+  --config CONFIG  key = value settings file
+""",
+    "classify": """\
+usage: puncseg classify [-h] [--out OUT] [--window WINDOW]
+                        [--classifier CLASSIFIER] [--config CONFIG]
+                        input
+
+positional arguments:
+  input
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT
+  --window WINDOW       sliding window size in words
+  --classifier CLASSIFIER
+                        builtin:<model path> | external:<command> |
+                        replay:<sepp path>
+  --config CONFIG       key = value settings file
+""",
+    "eval-boundaries": """\
+usage: puncseg eval-boundaries [-h] [--out OUT] [--segmenters SEGMENTERS]
+                               [--config CONFIG]
+                               gold pred
+
+positional arguments:
+  gold
+  pred
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT
+  --segmenters SEGMENTERS
+                        segmenting label characters, e.g. '.' or '.?'
+  --config CONFIG       key = value settings file
+""",
+    "sweep": """\
+usage: puncseg sweep [-h] --thetas THETAS [--out OUT] [--window WINDOW]
+                     [--stride STRIDE] [--segmenters SEGMENTERS]
+                     [--pooling {per_class,pooled}] [--classifier CLASSIFIER]
+                     [--config CONFIG]
+                     gold
+
+positional arguments:
+  gold
+
+options:
+  -h, --help            show this help message and exit
+  --thetas THETAS       comma or space separated theta values
+  --out OUT
+  --window WINDOW       sliding window size in words
+  --stride STRIDE       window stride in words
+  --segmenters SEGMENTERS
+                        segmenting label characters, e.g. '.' or '.?'
+  --pooling {per_class,pooled}
+                        vote pooling mode
+  --classifier CLASSIFIER
+                        builtin:<model path> | external:<command> |
+                        replay:<sepp path>
+  --config CONFIG       key = value settings file
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_golden_bytes(capsys, monkeypatch, command):
+    # pins every subcommand's flags: adding or dropping one is a visible diff
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
+#: One run per subcommand that takes shared settings, on the copernicus files.
+_SETTINGS_RUNS = {
+    "train": ["train", "{pred}", "--out", "{tmp}/m.bin", "--epochs", "1"],
+    "classify": ["classify", "{pred}", "--classifier", "replay:{pred}", "--out", "{tmp}/o"],
+    "segment": ["segment", "{stream}", "--classifier", "replay:{pred}", "--out", "{tmp}/o"],
+    "eval-boundaries": ["eval-boundaries", "{pred}", "{pred}", "--out", "{tmp}/o"],
+    "sweep": ["sweep", "{pred}", "--thetas", "0.5", "--classifier", "replay:{pred}",
+              "--out", "{tmp}/o"],
+}
+
+#: The shared settings each subcommand does not read, so takes no flag for.
+_DROPPED = {
+    "train": ["stride", "theta", "segmenters", "pooling", "classifier"],
+    "classify": ["stride", "theta", "segmenters", "pooling", "seed"],
+    "segment": ["seed"],
+    "eval-boundaries": ["window", "stride", "theta", "pooling", "classifier", "seed"],
+    "sweep": ["theta", "seed"],
+}
+_FLAG_VALUES = {
+    "window": "7", "stride": "2", "theta": "0.5", "segmenters": ".", "pooling": "pooled",
+    "classifier": "replay:{pred}", "seed": "1",
+}
+
+
+def _settings_argv(command, tmp_path, stream, pred, *extra):
+    fill = {"tmp": tmp_path, "stream": stream, "pred": pred}
+    return [part.format(**fill) for part in [*_SETTINGS_RUNS[command], *extra]]
+
+
+@pytest.mark.parametrize(
+    "command, key", [(cmd, key) for cmd, keys in _DROPPED.items() for key in keys]
+)
+def test_a_shared_setting_the_subcommand_does_not_read_is_not_a_flag(
+    tmp_path, capsys, copernicus_files, command, key
+):
+    assert sum(map(len, _DROPPED.values())) == 19
+    stream, pred = copernicus_files
+    before = sorted(tmp_path.iterdir())
+    argv = _settings_argv(command, tmp_path, stream, pred, f"--{key}", _FLAG_VALUES[key])
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: --{key}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", sorted(_SETTINGS_RUNS))
+def test_every_shared_flag_a_subcommand_declares_is_read(
+    tmp_path, capsys, copernicus_files, monkeypatch, command
+):
+    stream, pred = copernicus_files
+    declared, read = set(), set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    def recording_resolve(args):
+        declared.update(key for key in vars(args) if key in _SHARED)
+        return Recording(resolve_settings(args))
+
+    monkeypatch.setattr(cli, "resolve_settings", recording_resolve)
+    code, _, _ = run(capsys, *_settings_argv(command, tmp_path, stream, pred))
+    assert code == 0
+    assert declared == set(_SHARED) - set(_DROPPED[command])
+    assert declared <= read
+
+
+@pytest.mark.parametrize("command", [*sorted(_SETTINGS_RUNS), "significance"])
+def test_a_config_file_may_hold_every_shared_key(tmp_path, capsys, copernicus_files, command):
+    # one file serves every subcommand: each ignores the keys it does not read
+    stream, pred = copernicus_files
+    every_key = tmp_path / "all.cfg"
+    every_key.write_text(
+        f"window = 9\nstride = 1\ntheta = 0.5\nsegmenters = .\npooling = pooled\n"
+        f"classifier = replay:{pred}\nseed = 1\n",
+        encoding="utf-8",
+    )
+    unknown_key = tmp_path / "unknown.cfg"
+    unknown_key.write_text("windows = 5\n", encoding="utf-8")
+    for cfg, want in ((every_key, 0), (unknown_key, 1)):
+        if command == "significance":
+            argv = ["significance", str(pred), "--config-a", str(cfg), "--config-b", str(cfg),
+                    "--block-size", "1"]
+        else:
+            argv = _settings_argv(command, tmp_path, stream, pred, "--config", str(cfg))
+        code, _, err = run(capsys, *argv)
+        assert code == want
+        assert ("[CONFIG]" in err and "windows" in err) == (want == 1)
 
 
 def test_missing_classifier_fails(tmp_path, capsys, copernicus_files):
@@ -985,6 +1171,47 @@ def test_significance_golden_bytes(tmp_path, capsys):
         b"2\t1.000000\t0.800000\n"
         b"3\t1.000000\t1.000000\n"
     )
+
+
+@pytest.mark.parametrize("pooling", ["per_class", "pooled"])
+def test_significance_builtin_scores_are_those_of_the_exact_votes(tmp_path, capsys, pooling):
+    # significance cuts each block through segment(), which settles a built-in
+    # model's votes; its per-block scores must equal those of the exact votes
+    model_path = tmp_path / "m.bin"
+    save_model(train_reference([template_corpus(10, seed=5)], 1, 0, window_words=20), model_path)
+    corpus = template_corpus(40, seed=4)
+    gold = tmp_path / "gold.tsv"
+    atomic_write(gold, write_sepp(corpus))
+    conditions = {"a": (1, 0.3), "b": (2, 0.6)}
+    for name, (stride, theta) in conditions.items():
+        (tmp_path / f"{name}.cfg").write_text(
+            f"classifier = builtin:{model_path}\nwindow = 20\nstride = {stride}\n"
+            f"theta = {theta}\npooling = {pooling}\nsegmenters = .?\n",
+            encoding="utf-8",
+        )
+    scores = tmp_path / "scores.tsv"
+    code, _, _ = run(
+        capsys, "significance", str(gold), "--config-a", str(tmp_path / "a.cfg"),
+        "--config-b", str(tmp_path / "b.cfg"), "--block-size", "8", "--permutations", "5",
+        "--scores-out", str(scores),
+    )
+    assert code == 0
+
+    model = load_model(model_path)
+    blocks = metrics.split_testfiles(corpus, 8)
+    columns = []
+    for stride, theta in conditions.values():
+        cfg = segmenter.SegmenterConfig(20, stride, theta, frozenset({P, Q}), pooling)
+        column = []
+        for block in blocks:
+            votes = segmenter.accumulate_votes(strip_labels(block), model, cfg)
+            _, bounds = segmenter.decide(votes, cfg)
+            gold_bounds = metrics.boundaries_from_document(block, cfg.segmenters)
+            column.append(metrics.boundary_score(gold_bounds, bounds).f1)
+        columns.append(column)
+    assert len(set(columns[0] + columns[1])) > 2  # the model is imperfect, the blocks differ
+    table = [("block", "f1_a", "f1_b"), *zip(range(len(blocks)), *columns)]
+    assert scores.read_bytes() == metrics.tsv(table).encode("utf-8")
 
 
 def test_eval_labels_out_prefix_golden_bytes(tmp_path, capsys):

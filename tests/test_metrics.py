@@ -428,6 +428,23 @@ def test_paired_rejects_a_score_that_is_not_finite(bad, permutations):
         paired_significance([1e308, 0.0], [-1e308, 0.0], permutations=permutations)
 
 
+@pytest.mark.parametrize("permutations", [8, 1000])  # exhaustive, then sampled
+def test_paired_rejects_finite_differences_whose_sum_overflows(permutations):
+    # each difference is finite, but 1e308 + 1e308 is inf, and a pattern whose
+    # partial sum reaches inf would count as at least as extreme as the observed
+    with pytest.raises(OutOfRangeError, match="finite") as err:
+        paired_significance([1e308] * 3, [0.0] * 3, permutations=permutations)
+    assert err.value.code == "OUT_OF_RANGE"
+    with pytest.raises(OutOfRangeError, match="finite"):
+        paired_significance([1e308, -1e308, 1e308], [0.0] * 3, permutations=permutations)
+
+
+def test_paired_large_finite_sums_keep_the_exact_p_value():
+    # the same pattern at scale 1e307 sums to 3e307: finite, so the exact 2/8
+    assert paired_significance([1e307] * 3, [0.0] * 3, permutations=1000) == 0.25
+    assert paired_significance([1.0] * 3, [0.0] * 3, permutations=1000) == 0.25
+
+
 _SCORE = st.sampled_from([0.0, -0.0, 0.5, 1.0, 0.1, 1 / 3, 2 / 3]) | st.floats(0, 1)
 
 
