@@ -24,6 +24,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import filterfalse
+from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -33,6 +34,7 @@ from .errors import (
     ProcessDiedError,
     ProtocolLabelError,
     ProtocolLengthError,
+    require_int,
 )
 from .sepp import LABEL_BY_CHAR, PunctLabel
 
@@ -40,6 +42,9 @@ from .sepp import LABEL_BY_CHAR, PunctLabel
 #: 4, 8 and 16, 8 gave the best median ``segment_external`` throughput on 2
 #: CPUs, all three within run-to-run noise of each other (see CHANGES.md).
 _IN_FLIGHT = 8
+
+#: The longest ``timeout`` in seconds, below ``select.poll``'s 2**31 - 1 ms by more than rounding.
+_MAX_TIMEOUT = 2_147_483
 
 #: Child restarts one ``classify`` call may make before it gives up.
 _MAX_RESTARTS = 1
@@ -60,10 +65,16 @@ class ExternalAdapterConfig:
     argv: tuple[str, ...] = field(init=False, repr=False)  # ``command`` split as a shell would
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
-        if self.max_window_words is not None and self.max_window_words < 1:
-            raise ConfigError("max_window_words must be at least 1")
+        if not isinstance(self.command, str):
+            raise ConfigError(f"external command must be a str, not {self.command!r}")
+        if isinstance(self.timeout, bool) or not isinstance(self.timeout, Real):
+            raise ConfigError(f"timeout must be a real number, not {self.timeout!r}")
+        if not 0 < self.timeout <= _MAX_TIMEOUT:  # false for NaN as well
+            raise ConfigError(f"timeout must lie in (0, {_MAX_TIMEOUT}] s, not {self.timeout!r}")
+        if self.max_window_words is not None:
+            require_int("max_window_words", self.max_window_words)
+            if self.max_window_words < 1:
+                raise ConfigError("max_window_words must be at least 1")
         try:
             argv = shlex.split(self.command)
         except ValueError as exc:

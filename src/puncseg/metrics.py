@@ -148,6 +148,7 @@ def boundaries_from_document(doc: SeppDocument, segmenters: Iterable[PunctLabel]
 
 def split_testfiles(corpus: SeppDocument, sentences_per_file: int) -> list[SeppDocument]:
     """Cut the corpus into consecutive blocks of exactly N sentences; drop the tail."""
+    require_int("sentences_per_file", sentences_per_file)
     if sentences_per_file < 1:
         raise OutOfRangeError("sentences_per_file must be positive")
     sentences = corpus.sentences()

@@ -17,8 +17,8 @@ serves both.  The vote table is the same as when every window is
 classified in full.
 
 :func:`segment` thresholds at one theta, so it also settles words: a word
-whose edge votes are too few to move its decision at that theta takes
-all its votes on its interior label, and an edge slice is classified
+whose edge votes are too few to move its decision at that theta keeps
+that decision whichever of them it loses, so an edge slice is classified
 only when it holds an unsettled word.  On a long stream at ``W = 200``
 and theta 0.1 that leaves the edges of about 40 windows at each end, so
 about one context is scored per word instead of seven.  Its labels and
@@ -213,13 +213,12 @@ def accumulate_votes(
     cut.  The table is the same either way: the exact votes, which hold
     at every theta, as a sweep needs.
 
-    With ``settle=True``, on the ``context_words`` path only, each word
-    of the stretch :func:`_settled_stretch` finds, whose edge votes
-    cannot move its decision at ``cfg``, puts all its votes on its
-    interior label, and an edge slice is classified only when it holds a
-    word outside that stretch.  :func:`decide` at ``cfg`` gives every
-    word the label it gives the exact table; at another theta or pooling
-    it may not.
+    With ``settle=True``, on the ``context_words`` path only, an edge
+    slice is classified only when it holds a word outside the stretch
+    :func:`_settled_stretch` finds at ``cfg``, so the table is the exact
+    one less the edge votes of the slices not classified.  :func:`decide`
+    at ``cfg`` gives every word the label it gives the exact table; at
+    another theta or pooling it may not.
     """
     counts = [[0] * N_LABELS for _ in range(len(stream))]
     wins = windows(stream, cfg)
@@ -241,10 +240,10 @@ def _vote(counts: list[list[int]], start: int, labels: Sequence[PunctLabel]) -> 
 
 
 #: How far below theta a settled word's edge ratio ``e / c`` must lie in
-#: pooled mode.  The pooled test sums up to ``N_LABELS - 1`` ratios, each
-#: rounded, of votes that total at most ``e``; in doubles that sum exceeds
-#: the rounded ``e / c`` by less than 1e-15, so ``e / c <= theta - margin``
-#: keeps it at or below theta.
+#: pooled mode.  The pooled test sums up to ``N_LABELS - 1`` rounded
+#: ratios of the edge votes the word kept, which total at most ``e / c``;
+#: in doubles that sum exceeds the rounded ``e / c`` by less than 1e-15, so
+#: ``e / c <= theta - margin`` keeps it at or below theta.
 _POOLED_MARGIN = 1e-9
 
 
@@ -262,7 +261,10 @@ def _settled_stretch(
     other label, nor in pooled mode the summed segmenting labels that are
     not it, can pass (the pooled test asks ``e / c <= theta -
     _POOLED_MARGIN``).  So ``decide`` gives it its interior label, also
-    from a row that puts all ``c`` votes there.
+    from a row that lacks some of its edge votes: if ``e' <= e`` of them
+    are left, the interior ratio is at least ``h / (h + e') >= h / c``,
+    and any other label's, or the other labels' summed, at most ``e' /
+    (h + e') <= e / c``.
 
     The stretch grows word by word from the middle word, and is ``(0,
     0)`` when that word is not settled.  Two runs of words need not be
@@ -296,18 +298,6 @@ def _settled_stretch(
     while b < n and settled(b):
         b += 1
     return a, b
-
-
-def _vote_unsettled(
-    counts: list[list[int]], start: int, labels: Sequence[PunctLabel], a: int, b: int
-) -> None:
-    """:func:`_vote` the words outside the settled stretch ``[a, b)``."""
-    end = start + len(labels)
-    if start < a:
-        _vote(counts, start, labels[: min(end, a) - start])
-    if end > b:
-        at = max(start, b)
-        _vote(counts, at, labels[at - start :])
 
 
 def _starts_holding(p: int, j: int, w: int, last: int, step: int) -> int:
@@ -355,11 +345,10 @@ def _shared_interior_votes(
     so at most ``(w-2k)/step + 1`` are live.  Every call's words are
     sliced from the stream as the call is made.
 
-    A word in the settled stretch ``[a, b)`` (see :func:`_settled_stretch`;
-    empty for the exact votes) takes no edge vote: its interior label is
-    weighted by every window that covers it instead.  An edge slice whose
-    voting words all lie in the stretch is not classified, and the walk
-    skips the windows that would classify nothing.
+    An edge slice whose voting words all lie in the settled stretch ``[a,
+    b)`` (see :func:`_settled_stretch`; empty for the exact votes) is not
+    classified, so its words miss its votes, and the walk skips the
+    windows that would classify nothing.
     """
     known = 0  # every word before this one has had its interior votes cast
     last, step = starts[-1], starts.step
@@ -375,13 +364,10 @@ def _shared_interior_votes(
         if next_inner > first_unknown:
             head = _classify(classifier, stream[s : s + w], s)
             tail = head[w - 2 * k :]
-            # A settled word's label takes the starts t in [0, last] with
-            # t <= p < t + w (j = 0), any other's those with t + k <= p < t + w - k.
-            for lo, hi, j in ((first_unknown, a, k), (a, b, 0), (b, stop, k)):
-                lo, hi = max(lo, first_unknown), min(hi, stop)
-                weights = _held(lo, hi, j, w, last, step)
-                for p, label, held in zip(range(lo, hi), head[lo - s : hi - s], weights):
-                    counts[p][label.index] += held
+            labels = head[first_unknown - s : stop - s]
+            weights = _held(first_unknown, stop, k, w, last, step)
+            for p, label, held in zip(range(first_unknown, stop), labels, weights):
+                counts[p][label.index] += held
             known = stop
         else:
             if s < a or s + k > b:
@@ -393,9 +379,9 @@ def _shared_interior_votes(
                 tail = _classify(classifier, stream[stop - k : s + w], stop - k)
                 tails.append((stop - k, tail))
         if head is not None:
-            _vote_unsettled(counts, s, head[:k], a, b)
+            _vote(counts, s, head[:k])
         if tail is not None:
-            _vote_unsettled(counts, stop, tail[k:], a, b)
+            _vote(counts, stop, tail[k:])
         if s == last:
             return
         s += step

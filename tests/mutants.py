@@ -1,0 +1,60 @@
+"""Hand-made faults that the tests must catch, one mutant each.
+
+Each entry names a file under the repository root, a snippet that occurs
+exactly once in it, the text that replaces the snippet, and the ids of the
+tests that must fail once it is replaced.  ``test_mutants.py`` checks that
+every snippet still occurs once and every test still exists, so the list
+cannot rot; ``tools/run_mutants.py`` applies each mutant to a copy of the
+tree and runs its tests there.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    kills: tuple[str, ...]
+
+
+_SEGMENTER = "src/puncseg/segmenter.py"
+_TESTS = "tests/test_segmenter.py::"
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "skip-a-head-that-ends-at-b", _SEGMENTER,
+        "if s < a or s + k > b:",
+        "if s < a or s + k > b + 1:",
+        (
+            _TESTS + "test_segment_classifies_an_edge_slice_that_holds_one_unsettled_word"
+            "[head-ends-at-b]",
+            _TESTS + "test_settled_votes_lose_only_edge_votes_of_settled_words",
+        ),
+    ),
+    Mutant(
+        "no-pooled-margin", _SEGMENTER,
+        "_POOLED_MARGIN = 1e-9",
+        "_POOLED_MARGIN = 0.0",
+        (_TESTS + "test_the_pooled_margin_keeps_a_rounded_pool_exact",),
+    ),
+    Mutant(
+        "skip-a-tail-that-starts-at-a-1", _SEGMENTER,
+        "if stop < a or s + w > b:",
+        "if stop < a - 1 or s + w > b:",
+        (
+            _TESTS + "test_segment_classifies_an_edge_slice_that_holds_one_unsettled_word"
+            "[tail-starts-at-a-1]",
+            _TESTS + "test_settled_votes_lose_only_edge_votes_of_settled_words",
+        ),
+    ),
+    Mutant(
+        "settle-at-an-interior-ratio-of-theta", _SEGMENTER,
+        "and h / c > theta",
+        "and h / c >= theta",
+        (_TESTS + "test_settled_votes_decide_like_the_exact_votes_exhaustively",),
+    ),
+)

@@ -1,5 +1,7 @@
 import gc
+import math
 import os
+import select
 import sys
 import textwrap
 import threading
@@ -338,6 +340,43 @@ def test_words_with_spaces_rejected(echo_period):
 def test_config_validation():
     with pytest.raises(ValueError):
         ExternalAdapterConfig("cmd", timeout=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("timeout", float("nan")),  # would time every call out at once
+        ("timeout", float("inf")),  # these three overflow select.poll's int of ms
+        ("timeout", 1e300),
+        ("timeout", 2**31 / 1000),
+        ("timeout", "30"),
+        ("timeout", True),
+        ("command", None),  # shlex.split(None) would read the command from stdin
+        ("command", ["cmd"]),
+        ("max_window_words", "5"),
+        ("max_window_words", 2.5),
+        ("max_window_words", True),
+    ],
+)
+def test_a_bad_field_is_a_config_error_before_any_child_starts(field, value):
+    with pytest.raises(ConfigError) as exc_info:
+        ExternalAdapterConfig(**{"command": "cmd", field: value})
+    assert exc_info.value.code == "CONFIG"
+
+
+def test_the_longest_timeout_is_accepted_and_fits_poll():
+    assert ExternalAdapterConfig("cmd", timeout=external._MAX_TIMEOUT).timeout == external._MAX_TIMEOUT
+    with pytest.raises(ConfigError):
+        ExternalAdapterConfig("cmd", timeout=math.nextafter(external._MAX_TIMEOUT, math.inf))
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, b"x")  # already readable, so poll returns at once
+        poller = select.poll()
+        poller.register(read_fd, select.POLLIN)
+        assert poller.poll(external._MAX_TIMEOUT * 1000) == [(read_fd, select.POLLIN)]
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
 
 
 @pytest.mark.parametrize("limit", [0, -3])

@@ -272,6 +272,14 @@ def test_split_testfiles_rejects_a_block_size_below_one(sentences_per_file):
         split_testfiles(_sentence_corpus(10), sentences_per_file)
 
 
+@pytest.mark.parametrize("sentences_per_file", [2.5, True, "2"])
+def test_split_testfiles_rejects_a_block_size_that_is_not_an_int(sentences_per_file):
+    # True would act as 1, 2.5 would fail in a slice with a raw TypeError
+    with pytest.raises(ConfigError, match="sentences_per_file must be an int") as err:
+        split_testfiles(_sentence_corpus(10), sentences_per_file)
+    assert err.value.code == "CONFIG"
+
+
 def test_summarize_single_score():
     s = summarize([0.5])
     assert (s.median, s.average, s.stddev) == (0.5, 0.5, 0.0)

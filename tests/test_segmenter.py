@@ -30,6 +30,7 @@ from puncseg.segmenter import (
     accumulate_votes,
     classify_chunked,
     decide,
+    _settled_stretch,
     segment,
     windows,
 )
@@ -692,9 +693,9 @@ def test_a_bad_capability_is_a_config_error_before_any_call(trained, entry, name
 
 
 # --------------------------------------------------------------------------
-# Settled words: ``segment`` gives a word whose edge votes cannot move its
-# decision all its votes on its interior label, and classifies no edge slice
-# that holds only such words.  Labels and boundaries must not change.
+# Settled words: ``segment`` classifies no edge slice that holds only words
+# whose edge votes cannot move their decisions, so such a word may miss edge
+# votes, and nothing else.  Labels and boundaries must not change.
 
 
 class Contextual:
@@ -722,6 +723,13 @@ _POOLINGS = ("per_class", "pooled")
 _SEGMENTER_SETS = (frozenset({P}), frozenset({P, Q}), frozenset({C, P, PunctLabel.DASH}))
 
 
+def _rows_at_most(rows, bounds):
+    """Whether every count of ``rows`` is at most the count in ``bounds`` at its place."""
+    return len(rows) == len(bounds) and all(
+        x <= y for row, bound in zip(rows, bounds) for x, y in zip(row, bound, strict=True)
+    )
+
+
 def test_settled_votes_decide_like_the_exact_votes_exhaustively():
     rng = random.Random(21)
     settled_cases = {pooling: 0 for pooling in _POOLINGS}
@@ -745,9 +753,61 @@ def test_settled_votes_decide_like_the_exact_votes_exhaustively():
                 assert (got.labels, got.boundaries) == (labels, sorted(bounds))
                 settled = accumulate_votes(stream, clf, cfg, settle=True)
                 assert decide(settled, cfg) == decide(exact, cfg)
-                assert _coverage(settled) == coverage
+                assert _rows_at_most(settled, exact)
                 settled_cases[pooling] += settled != exact
     assert min(settled_cases.values()) > 50
+
+
+@pytest.mark.parametrize(
+    ("k", "seed", "theta", "pooling", "stream"),
+    [
+        pytest.param(1, 794, 0.6, "pooled", "abcbaacbccbbaccabababccaba", id="head-ends-at-b"),
+        pytest.param(2, 68, 0.5, "per_class", "cbcccacbaabbabaabbbc", id="tail-starts-at-a-1"),
+    ],
+)
+def test_segment_classifies_an_edge_slice_that_holds_one_unsettled_word(
+    k, seed, theta, pooling, stream
+):
+    # W = 9, stride 2: one edge slice holds settled words and just one word outside
+    # [a, b), its last (head) or first (tail); skipping it changes that word's label.
+    stream = list(stream)
+    cfg = SegmenterConfig(
+        window_words=9, stride=2, theta=theta, segmenters=frozenset({P}), pooling=pooling
+    )
+    got = segment(stream, Contextual(k, seed), cfg)
+    labels, bounds = brute_force_segment(
+        stream, Contextual(k, seed), 9, 2, theta, cfg.segmenters, pooling
+    )
+    assert (got.labels, got.boundaries) == (labels, sorted(bounds))
+
+
+def test_settled_votes_lose_only_edge_votes_of_settled_words():
+    # Outside the settled stretch [a, b) every vote is cast; inside it a row may lack
+    # edge votes, and nothing else.
+    rng = random.Random(26)
+    stretches = 0
+    for _ in range(300):
+        w, k, stride = rng.randint(14, 24), rng.randint(1, 3), rng.randint(1, 4)
+        n = rng.randint(2 * w, 6 * w)
+        cfg = SegmenterConfig(
+            window_words=w, stride=stride, theta=rng.randrange(2 * k, w - 2 * k) / w,
+            segmenters=frozenset({P}), pooling=rng.choice(_POOLINGS),
+        )
+        stream = [rng.choice("abc") for _ in range(n)]
+        clf = Contextual(k, rng.randrange(1000))
+        exact = accumulate_votes(stream, clf, cfg)
+        settled = accumulate_votes(stream, clf, cfg, settle=True)
+        a, b = _settled_stretch(n, windows(stream, cfg).starts, w, k, cfg)
+        assert settled[:a] == exact[:a]
+        assert settled[b:] == exact[b:]
+        assert _rows_at_most(settled[a:b], exact[a:b])
+        got = segment(stream, clf, cfg)
+        labels, bounds = brute_force_segment(
+            stream, clf, w, stride, cfg.theta, cfg.segmenters, cfg.pooling
+        )
+        assert (got.labels, got.boundaries) == (labels, sorted(bounds))
+        stretches += a < b
+    assert stretches > 200
 
 
 class EdgeMarks:
