@@ -17,13 +17,14 @@ serves both.  The vote table is the same as when every window is
 classified in full.
 
 :func:`segment` thresholds at one theta, so it also settles words: a word
-whose edge votes are too few to move its decision at that theta keeps
-that decision whichever of them it loses, so an edge slice is classified
-only when it holds an unsettled word.  On a long stream at ``W = 200``
-and theta 0.1 that leaves the edges of about 40 windows at each end, so
-about one context is scored per word instead of seven.  Its labels and
-boundaries are those of the exact votes, which :func:`accumulate_votes`
-still returns by default, as a sweep over theta needs.
+whose edge votes are too few to move its decision at that theta is
+decided by its interior label, so it carries that label and no vote row,
+and an edge slice is classified only when it holds an unsettled word.
+On a long stream at ``W = 200`` and theta 0.1 that leaves about 40 rows
+and the edges of about 40 windows at each end, so about one context is
+scored per word instead of seven.  Its labels and boundaries are those
+of the exact votes, which :func:`accumulate_votes` still returns by
+default, as a sweep over theta needs.
 """
 
 from __future__ import annotations
@@ -197,10 +198,24 @@ def _classify(classifier: Classifier, words: Sequence[str], at: int) -> list[Pun
     return labels
 
 
+class SettledVotes(NamedTuple):
+    """The votes of :func:`accumulate_votes` with ``settle=True``.
+
+    The words of the settled stretch ``[a, a + len(labels))`` carry their
+    interior labels and no row; ``rows`` holds the vote rows of the other
+    words in stream order, so the row of a word ``p`` past the stretch is
+    ``rows[p - len(labels)]``.
+    """
+
+    rows: list[list[int]]
+    a: int
+    labels: list[PunctLabel]
+
+
 def accumulate_votes(
     stream: Sequence[str], classifier: Classifier, cfg: SegmenterConfig, *,
     settle: bool = False,
-) -> list[list[int]]:
+) -> list[list[int]] | SettledVotes:
     """Tally one vote per covered word for every window.
 
     The table holds one row per word: ``N_LABELS`` vote counts, the
@@ -213,35 +228,53 @@ def accumulate_votes(
     cut.  The table is the same either way: the exact votes, which hold
     at every theta, as a sweep needs.
 
-    With ``settle=True``, on the ``context_words`` path only, an edge
-    slice is classified only when it holds a word outside the stretch
-    :func:`_settled_stretch` finds at ``cfg``, so the table is the exact
-    one less the edge votes of the slices not classified.  :func:`decide`
-    at ``cfg`` gives every word the label it gives the exact table; at
-    another theta or pooling it may not.
+    With ``settle=True`` the votes are :class:`SettledVotes`.  On the
+    ``context_words`` path only, each word of the stretch
+    :func:`_settled_stretch` finds at ``cfg`` carries its interior label
+    and no row, and an edge slice is classified only when it holds a word
+    outside that stretch, whose rows are exact.  :func:`decide` at ``cfg``
+    gives every word the label it gives the exact table; at another theta
+    or pooling it may not.
     """
-    counts = [[0] * N_LABELS for _ in range(len(stream))]
     wins = windows(stream, cfg)
     limit, k = _capabilities(classifier)
-    w = cfg.window_words
-    if len(wins) > 1 and k and 2 * k < w and (limit is None or limit >= w):
-        settled = _settled_stretch(len(counts), wins.starts, w, k, cfg) if settle else (0, 0)
-        _shared_interior_votes(counts, wins.stream, wins.starts, classifier, w, k, *settled)
-        return counts
-    for at, chunk in _announced_calls(classifier, wins, min(len(stream), w), w, limit):
-        _vote(counts, at, _classify(classifier, chunk, at))
-    return counts
+    n, w = len(stream), cfg.window_words
+    shared = len(wins) > 1 and k and 2 * k < w and (limit is None or limit >= w)
+    a, b = _settled_stretch(n, wins.starts, w, k, cfg) if shared and settle else (0, 0)
+    rows = [[0] * N_LABELS for _ in range(n - (b - a))]
+    labels = [PunctLabel.NONE] * (b - a)
+    if shared:
+        _shared_interior_votes(rows, labels, wins.stream, wins.starts, classifier, w, k, a, b)
+    else:
+        for at, chunk in _announced_calls(classifier, wins, min(n, w), w, limit):
+            _vote(rows, at, _classify(classifier, chunk, at))
+    return SettledVotes(rows, a, labels) if settle else rows
 
 
-def _vote(counts: list[list[int]], start: int, labels: Sequence[PunctLabel]) -> None:
-    """Count one vote per label, the first for word ``start``."""
+def _vote(
+    rows: list[list[int]], start: int, labels: Sequence[PunctLabel], a: int = 0, b: int = 0
+) -> None:
+    """Count one vote per label, the first for word ``start``.
+
+    The words of ``[a, b)`` have no row and take no vote; the row of a
+    word ``p >= b`` is ``rows[p - (b - a)]``.
+    """
+    if start < b and start + len(labels) > a:  # a word of [a, b) among them
+        for p, label in enumerate(labels, start):
+            if p < a:
+                rows[p][label.index] += 1
+            elif p >= b:
+                rows[p - b + a][label.index] += 1
+        return
+    if start >= b:
+        start -= b - a
     for i, label in enumerate(labels, start):
-        counts[i][label.index] += 1
+        rows[i][label.index] += 1
 
 
 #: How far below theta a settled word's edge ratio ``e / c`` must lie in
 #: pooled mode.  The pooled test sums up to ``N_LABELS - 1`` rounded
-#: ratios of the edge votes the word kept, which total at most ``e / c``;
+#: ratios of the word's edge votes, which total at most ``e / c``;
 #: in doubles that sum exceeds the rounded ``e / c`` by less than 1e-15, so
 #: ``e / c <= theta - margin`` keeps it at or below theta.
 _POOLED_MARGIN = 1e-9
@@ -260,11 +293,8 @@ def _settled_stretch(
     interior label has at least ``h > e`` votes and passes theta, and no
     other label, nor in pooled mode the summed segmenting labels that are
     not it, can pass (the pooled test asks ``e / c <= theta -
-    _POOLED_MARGIN``).  So ``decide`` gives it its interior label, also
-    from a row that lacks some of its edge votes: if ``e' <= e`` of them
-    are left, the interior ratio is at least ``h / (h + e') >= h / c``,
-    and any other label's, or the other labels' summed, at most ``e' /
-    (h + e') <= e / c``.
+    _POOLED_MARGIN``).  So ``decide`` gives it its interior label, which
+    the word can carry in place of its row (:class:`SettledVotes`).
 
     The stretch grows word by word from the middle word, and is ``(0,
     0)`` when that word is not settled.  Two runs of words need not be
@@ -273,7 +303,7 @@ def _settled_stretch(
     the word ``step`` on; and those that every window holds in its
     interior (``e = 0``).  At stride 1, once the middle word settles, the
     stretch holds every settled word; otherwise settled words outside it
-    just vote exactly.  At ``W = 200``, ``k = 4`` and theta 0.1 the
+    keep their exact rows.  At ``W = 200``, ``k = 4`` and theta 0.1 the
     stretch leaves 39 words unsettled at each end of a long stream.
     """
     last, step = starts[-1], starts.step
@@ -325,7 +355,7 @@ def _held(lo: int, hi: int, j: int, w: int, last: int, step: int) -> Iterator[in
 
 
 def _shared_interior_votes(
-    counts: list[list[int]], stream: list[str], starts: range,
+    rows: list[list[int]], settled: list[PunctLabel], stream: list[str], starts: range,
     classifier: Classifier, w: int, k: int, a: int, b: int,
 ) -> None:
     """Vote the ``w``-word windows at ``starts``, classifying their interiors only where needed.
@@ -345,10 +375,13 @@ def _shared_interior_votes(
     so at most ``(w-2k)/step + 1`` are live.  Every call's words are
     sliced from the stream as the call is made.
 
-    An edge slice whose voting words all lie in the settled stretch ``[a,
-    b)`` (see :func:`_settled_stretch`; empty for the exact votes) is not
-    classified, so its words miss its votes, and the walk skips the
-    windows that would classify nothing.
+    The words of the settled stretch ``[a, b)`` (see
+    :func:`_settled_stretch`; empty for the exact votes) have no row and
+    take no vote: ``settled`` holds, for each of them, the interior label
+    of the full window that labels it first, and ``rows`` the rows of the
+    other words, indexed as :func:`_vote` indexes them.  An edge slice
+    whose voting words all lie in ``[a, b)`` is not classified, and the
+    walk skips the windows that would classify nothing.
     """
     known = 0  # every word before this one has had its interior votes cast
     last, step = starts[-1], starts.step
@@ -359,15 +392,20 @@ def _shared_interior_votes(
             tails.popleft()
         first_unknown = max(known, s + k)
         stop = s + w - k
-        next_inner = s + step + k if s < last else len(counts)
+        next_inner = s + step + k if s < last else len(stream)
         head = tail = None
         if next_inner > first_unknown:
             head = _classify(classifier, stream[s : s + w], s)
             tail = head[w - 2 * k :]
-            labels = head[first_unknown - s : stop - s]
-            weights = _held(first_unknown, stop, k, w, last, step)
-            for p, label, held in zip(range(first_unknown, stop), labels, weights):
-                counts[p][label.index] += held
+            lo, hi = max(first_unknown, a), min(stop, b)
+            if lo < hi:
+                settled[lo - a : hi - a] = head[lo - s : hi - s]
+            outside = ((first_unknown, min(stop, a), 0), (max(first_unknown, b), stop, b - a))
+            for lo, hi, shift in outside:
+                labels = head[lo - s : hi - s]
+                weights = _held(lo, hi, k, w, last, step)
+                for i, label, held in zip(range(lo - shift, hi - shift), labels, weights):
+                    rows[i][label.index] += held
             known = stop
         else:
             if s < a or s + k > b:
@@ -379,9 +417,9 @@ def _shared_interior_votes(
                 tail = _classify(classifier, stream[stop - k : s + w], stop - k)
                 tails.append((stop - k, tail))
         if head is not None:
-            _vote(counts, s, head[:k])
+            _vote(rows, s, head[:k], a, b)
         if tail is not None:
-            _vote(counts, stop, tail[k:])
+            _vote(rows, stop, tail[k:], a, b)
         if s == last:
             return
         s += step
@@ -393,9 +431,9 @@ def _shared_interior_votes(
 
 
 def decide(
-    votes: list[list[int]], cfg: SegmenterConfig
+    votes: list[list[int]] | SettledVotes, cfg: SegmenterConfig
 ) -> tuple[list[PunctLabel], set[int]]:
-    """Apply the threshold to the vote rows of :func:`accumulate_votes`.
+    """Apply the threshold to the votes of :func:`accumulate_votes`.
 
     per_class mode accepts, per word, the highest-ratio label whose ratio
     strictly exceeds theta (ties broken by the global label order).
@@ -403,19 +441,27 @@ def decide(
     it exceeds theta the best segmenting label wins, otherwise the word is
     decided per-class over the non-segmenting labels only.  A word covered
     by no window stays NONE, and so does a word with no vote but NONE.
+    A settled word of :class:`SettledVotes` keeps the label it carries,
+    and is a boundary when that label segments; a plain row list has no
+    settled word.
     """
+    rows, a, settled = votes if isinstance(votes, SettledVotes) else (votes, 0, ())
     seg_idx = sorted(label.index for label in cfg.segmenters)
     seg_set = set(seg_idx)
     pooled = cfg.pooling == "pooled"
     candidates = [c for c in range(1, N_LABELS) if not (pooled and c in seg_set)]
     theta = cfg.theta
     none = PunctLabel.NONE  # a local: reading the enum member per word costs more
-    labels: list[PunctLabel] = []
-    boundaries: set[int] = set()
-    for i, row in enumerate(votes):
+    b = a + len(settled)
+    labels = [none] * (len(rows) + len(settled))
+    labels[a:b] = settled
+    boundaries = {
+        i for i, label in enumerate(settled, a) if label is not none and label.index in seg_set
+    } if settled else set()
+    indexed = zip(chain(range(a), range(b, len(labels))), rows) if settled else enumerate(rows)
+    for i, row in indexed:  # i: the word whose row it is
         cov = sum(row)
         if row[0] == cov:  # no vote but NONE, or none at all: NONE at every theta in [0, 1]
-            labels.append(none)
             continue
         if pooled and sum(row[c] / cov for c in seg_idx) > theta:
             best = seg_idx[0]
@@ -430,7 +476,7 @@ def decide(
                 if ratio > best_ratio:
                     best = c
                     best_ratio = ratio
-        labels.append(LABELS[best])
+        labels[i] = LABELS[best]
         if best in seg_set:
             boundaries.add(i)
     return labels, boundaries
@@ -466,8 +512,9 @@ def segment(
     """Window, vote, threshold; cut after every accepted segmenting label.
 
     The votes are settled at ``cfg`` (see :func:`accumulate_votes`), so a
-    classifier that declares ``context_words`` labels mainly full windows;
-    the labels and boundaries are those of the exact votes.
+    classifier that declares ``context_words`` labels mainly full windows,
+    and a settled word carries its interior label and no vote row; the
+    labels and boundaries are those of the exact votes.
     """
     votes = accumulate_votes(stream, classifier, cfg, settle=True)
     labels, boundaries = decide(votes, cfg)

@@ -32,7 +32,7 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             _TESTS + "test_segment_classifies_an_edge_slice_that_holds_one_unsettled_word"
             "[head-ends-at-b]",
-            _TESTS + "test_settled_votes_lose_only_edge_votes_of_settled_words",
+            _TESTS + "test_settled_votes_keep_exact_rows_outside_the_stretch_and_labels_inside",
         ),
     ),
     Mutant(
@@ -48,7 +48,7 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             _TESTS + "test_segment_classifies_an_edge_slice_that_holds_one_unsettled_word"
             "[tail-starts-at-a-1]",
-            _TESTS + "test_settled_votes_lose_only_edge_votes_of_settled_words",
+            _TESTS + "test_settled_votes_keep_exact_rows_outside_the_stretch_and_labels_inside",
         ),
     ),
     Mutant(
@@ -56,5 +56,34 @@ MUTANTS: tuple[Mutant, ...] = (
         "and h / c > theta",
         "and h / c >= theta",
         (_TESTS + "test_settled_votes_decide_like_the_exact_votes_exhaustively",),
+    ),
+    Mutant(
+        "settled-labels-one-word-late", _SEGMENTER,
+        "settled[lo - a : hi - a] = head[lo - s : hi - s]",
+        "settled[lo - a : hi - a] = head[lo - s + 1 : hi - s + 1]",
+        (
+            _TESTS + "test_settled_votes_decide_like_the_exact_votes_exhaustively",
+            _TESTS + "test_settled_votes_keep_exact_rows_outside_the_stretch_and_labels_inside",
+            _TESTS + "test_segment_classifies_an_edge_slice_only_near_the_stream_ends",
+        ),
+    ),
+    Mutant(
+        "settled-boundary-one-word-late", _SEGMENTER,
+        "enumerate(settled, a)",
+        "enumerate(settled, a + 1)",
+        (
+            _TESTS + "test_settled_votes_decide_like_the_exact_votes_exhaustively",
+            _TESTS + "test_settled_votes_keep_exact_rows_outside_the_stretch_and_labels_inside",
+            _TESTS + "test_segment_classifies_an_edge_slice_only_near_the_stream_ends",
+        ),
+    ),
+    Mutant(
+        "edge-votes-from-b-unshifted", _SEGMENTER,
+        "    if start >= b:\n",
+        "    if start > b:\n",
+        (
+            _TESTS + "test_settled_votes_decide_like_the_exact_votes_exhaustively",
+            _TESTS + "test_settled_votes_keep_exact_rows_outside_the_stretch_and_labels_inside",
+        ),
     ),
 )
