@@ -154,7 +154,7 @@ def _check_aligned(gold: SeppDocument, pred: SeppDocument) -> None:
 
 
 def _predictions_document(
-    words: list[str], labels: list[PunctLabel], boundaries: set[int], source_id=None
+    words: list[str], labels: list[PunctLabel], boundaries: set[int]
 ) -> SeppDocument:
     period = PunctLabel.PERIOD
     eos = [lab is period for lab in labels]
@@ -162,7 +162,7 @@ def _predictions_document(
         eos[i] = True
     # tuple.__new__ skips the NamedTuple's Python-level __new__, once per token
     tokens = list(map(tuple.__new__, repeat(LabeledToken), zip(words, eos, labels)))
-    return SeppDocument(tokens, source_id=source_id)
+    return SeppDocument(tokens)
 
 
 def cmd_prepare(args: argparse.Namespace) -> int:
@@ -179,7 +179,7 @@ def cmd_prepare(args: argparse.Namespace) -> int:
         model = textprep.TruecaseModel.load(model_path)
     sentences = [textprep.truecase(sent, model) for sent in sentences]
 
-    doc = textprep.extract_labels(sentences, source_id=str(args.input))
+    doc = textprep.extract_labels(sentences)
     text = write_sepp(doc)  # before any output: a word SEPP cannot hold fails here
     if model_path and trained:
         model.save(model_path)
@@ -218,7 +218,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     words = strip_labels(parse_sepp_file(args.input))
     with make_classifier(settings["classifier"]) as classifier:
         labels = segmenter.classify_chunked(classifier, words, settings["window"])
-    pred = _predictions_document(words, labels, set(), source_id=str(args.input))
+    pred = _predictions_document(words, labels, set())
     _emit(write_sepp(pred), args.out)
     return 0
 
@@ -231,9 +231,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         result = segmenter.segment(words, classifier, cfg)
     text = result.to_text()
     if args.emit_sepp:  # built before any output: a word SEPP cannot hold fails here
-        pred = _predictions_document(
-            result.words, result.labels, set(result.boundaries), source_id=str(args.input)
-        )
+        pred = _predictions_document(result.words, result.labels, set(result.boundaries))
         rows = write_sepp(pred)
     _emit(text, args.out)
     if args.emit_sepp:

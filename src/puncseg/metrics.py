@@ -65,11 +65,10 @@ class EvalReport:
     weighted_recall: float
     weighted_f1: float
     total: int
-    zero_division: bool = False
 
 
 def report(counts: list[list[int]]) -> EvalReport:
-    """Per-class and aggregate metrics; zero denominators score 0 and set a flag.
+    """Per-class and aggregate metrics; a zero denominator scores 0.
 
     Macro averages are unweighted means over all six classes, the NONE
     class included.  Micro F1 would equal accuracy for this single-label
@@ -78,20 +77,13 @@ def report(counts: list[list[int]]) -> EvalReport:
     total = sum(map(sum, counts))
     if total == 0:
         raise EmptyMatrixError("confusion matrix has no counts")
-    zero_division = False
     per_class: dict[PunctLabel, ClassMetrics] = {}
     for idx, label in enumerate(REPORT_ORDER):
         tp = counts[idx][idx]
         gold_n = sum(counts[idx])
         pred_n = sum(counts[g][idx] for g in range(_N))
-        if pred_n:
-            precision = tp / pred_n
-        else:
-            precision, zero_division = 0.0, True
-        if gold_n:
-            recall = tp / gold_n
-        else:
-            recall, zero_division = 0.0, True
+        precision = tp / pred_n if pred_n else 0.0
+        recall = tp / gold_n if gold_n else 0.0
         per_class[label] = ClassMetrics(precision, recall, f1_score(precision, recall), gold_n)
 
     diag = sum(counts[i][i] for i in range(_N))
@@ -106,7 +98,6 @@ def report(counts: list[list[int]]) -> EvalReport:
         weighted_recall=sum(m.recall * m.support for m in metrics) / total,
         weighted_f1=sum(m.f1 * m.support for m in metrics) / total,
         total=total,
-        zero_division=zero_division,
     )
 
 
@@ -160,9 +151,7 @@ def split_testfiles(corpus: SeppDocument, sentences_per_file: int) -> list[SeppD
     n_files = len(sentences) // sentences_per_file
     for k in range(n_files):
         block = sentences[k * sentences_per_file : (k + 1) * sentences_per_file]
-        tokens = [tok for sent in block for tok in sent]
-        src = f"{corpus.source_id or 'corpus'}:block{k}"
-        files.append(SeppDocument(tokens, source_id=src))
+        files.append(SeppDocument([tok for sent in block for tok in sent]))
     return files
 
 

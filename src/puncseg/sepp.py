@@ -89,7 +89,10 @@ class LabeledToken(NamedTuple):
 
 @dataclass(slots=True)
 class SeppDocument:
-    """An ordered token sequence; sentence boundaries sit where ``eos`` is true."""
+    """An ordered token sequence; sentence boundaries sit where ``eos`` is true.
+
+    ``source_id`` is the caller's own tag; the library neither sets nor reads it.
+    """
 
     tokens: list[LabeledToken] = field(default_factory=list)
     source_id: str | None = None
@@ -118,20 +121,15 @@ class SeppDocument:
         return out
 
 
-def parse_sepp(
-    stream: str | Iterable[str],
-    *,
-    strict: bool = False,
-    source_id: str | None = None,
-) -> SeppDocument:
+def parse_sepp(stream: str | Iterable[str]) -> SeppDocument:
     """Parse SEPP text into a document.
 
     ``stream`` may be a string or an iterable of lines, with or without
     line ends, such as :func:`read_lines` yields.  Line numbers in errors
     are 1-based and count blank lines too.  Rows whose flag column
     contradicts the label (a full stop without the flag, or the flag
-    without any mark) are accepted with a ``SeppConsistencyWarning``
-    unless ``strict`` is set, because published corpora contain such rows.
+    without any mark) are accepted with a ``SeppConsistencyWarning``,
+    because published corpora contain such rows.
     """
     tokens: list[LabeledToken] = []
     lines = stream.split("\n") if isinstance(stream, str) else stream
@@ -158,25 +156,18 @@ def parse_sepp(
                 "BAD_LABEL", line_no, f"unknown label {label_ch!r}"
             ) from None
         eos = flag == "1"
-        inconsistent = (label is _PERIOD and not eos) or (label is _NONE and eos)
-        if inconsistent:
-            if strict:
-                raise SeppParseError(
-                    "FLAG_LABEL_MISMATCH",
-                    line_no,
-                    f"flag {flag} contradicts label {label_ch!r}",
-                )
+        if (label is _PERIOD and not eos) or (label is _NONE and eos):
             warnings.warn(
                 f"line {line_no}: flag {flag} contradicts label {label_ch!r}",
                 SeppConsistencyWarning,
                 stacklevel=2,
             )
         tokens.append(LabeledToken(word, eos, label))
-    return SeppDocument(tokens, source_id=source_id)
+    return SeppDocument(tokens)
 
 
-def parse_sepp_file(path, *, strict: bool = False) -> SeppDocument:
-    return parse_sepp(read_lines(path), strict=strict, source_id=str(path))
+def parse_sepp_file(path) -> SeppDocument:
+    return parse_sepp(read_lines(path))
 
 
 def _render_flag(token: LabeledToken) -> str:

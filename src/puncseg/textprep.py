@@ -75,10 +75,6 @@ def tokenize(line: str) -> list[str]:
     return out
 
 
-def is_punct_token(token: str) -> bool:
-    return len(token) == 1 and token in DETACH_CHARS
-
-
 def clean_lines(lines: Iterable[str]) -> Iterator[str]:
     """Drop blank lines and lines carrying markup (a ``<`` and ``>`` pair)."""
     for line in lines:
@@ -162,11 +158,7 @@ def truecase(sentence: list[str], model: TruecaseModel) -> list[str]:
     return [form] + sentence[1:]
 
 
-def extract_labels(
-    sentences: Iterable[list[str]],
-    *,
-    source_id: str | None = None,
-) -> SeppDocument:
+def extract_labels(sentences: Iterable[list[str]]) -> SeppDocument:
     """Turn tokenized sentences into SEPP rows.
 
     Punctuation tokens leave the word stream.  After each word, the first
@@ -181,7 +173,7 @@ def extract_labels(
         words: list[str] = []
         labels: list[PunctLabel] = []
         for tok in sent:
-            if is_punct_token(tok):
+            if tok in DETACH_CHARS:
                 if not words:
                     continue
                 if labels[-1] is PunctLabel.NONE:
@@ -202,7 +194,7 @@ def extract_labels(
         for i, (word, label) in enumerate(zip(words, labels)):
             eos = label is PunctLabel.PERIOD or (i == last and label is not PunctLabel.NONE)
             tokens.append(LabeledToken(word, eos, label))
-    return SeppDocument(tokens, source_id=source_id)
+    return SeppDocument(tokens)
 
 
 @dataclass(frozen=True)
@@ -231,7 +223,7 @@ def split_corpus(
         units = list(documents)
     else:
         units = [
-            SeppDocument(list(sent), source_id=doc.source_id)
+            SeppDocument(list(sent))
             for doc in documents
             for sent in doc.sentences()
         ]

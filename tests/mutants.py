@@ -22,7 +22,11 @@ class Mutant(NamedTuple):
 
 
 _SEGMENTER = "src/puncseg/segmenter.py"
+_CLASSIFIER = "src/puncseg/classifier.py"
+_METRICS = "src/puncseg/metrics.py"
 _TESTS = "tests/test_segmenter.py::"
+_CLASSIFIER_TESTS = "tests/test_classifier.py::"
+_METRICS_TESTS = "tests/test_metrics.py::"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -84,6 +88,56 @@ MUTANTS: tuple[Mutant, ...] = (
         (
             _TESTS + "test_settled_votes_decide_like_the_exact_votes_exhaustively",
             _TESTS + "test_settled_votes_keep_exact_rows_outside_the_stretch_and_labels_inside",
+        ),
+    ),
+    Mutant(
+        "decide-takes-the-last-of-tied-ratios", _SEGMENTER,
+        "if ratio > best_ratio:",
+        "if ratio >= best_ratio:",
+        (
+            _TESTS + "test_decide_strict_inequality_at_theta_one",
+            _TESTS + "test_decide_tie_breaks_by_label_order",
+            _TESTS + "test_decide_matches_the_oracle_on_random_vote_rows",
+        ),
+    ),
+    Mutant(
+        "starts-holding-one-window-short", _SEGMENTER,
+        "max(-1, p - w + j)",
+        "max(0, p - w + j)",
+        (_TESTS + "test_window_invariant_votes_match_generic_loop_and_oracle",),
+    ),
+    Mutant(
+        "classify-breaks-a-none-period-tie-to-period", _CLASSIFIER,
+        "if a1 > a0:",
+        "if a1 >= a0:",
+        (
+            _CLASSIFIER_TESTS + "test_zero_epochs_predicts_none",
+            _CLASSIFIER_TESTS + "test_a_tie_between_two_labels_goes_to_the_earlier_one[0-1]",
+            _CLASSIFIER_TESTS + "test_classify_takes_the_first_argmax_of_the_oracle_scores",
+        ),
+    ),
+    Mutant(
+        "replay-serves-the-last-match", _CLASSIFIER,
+        "self._encoded.find(target)",
+        "self._encoded.rfind(target)",
+        (
+            _CLASSIFIER_TESTS + "test_replay_classifier_returns_recorded_labels",
+            _CLASSIFIER_TESTS + "test_replay_find_matches_linear_scan_on_repetitive_streams",
+        ),
+    ),
+    Mutant(
+        "permutation-signs-from-the-third-byte", _METRICS,
+        "[3::4]",
+        "[2::4]",
+        (_METRICS_TESTS + "test_paired_significance_equals_the_per_bit_oracle",),
+    ),
+    Mutant(
+        "training-skip-goes-stale", _CLASSIFIER,
+        "updates += 1",
+        "updates += 0",
+        (
+            _CLASSIFIER_TESTS + "test_training_equals_the_oracle_that_scores_every_step",
+            _CLASSIFIER_TESTS + "test_examples_that_disagree_are_scored_again_in_every_epoch",
         ),
     ),
 )

@@ -449,6 +449,11 @@ def test_replay_classifier_returns_recorded_labels():
         replay.classify([])
     with pytest.raises(ValueError, match="must align"):
         ReplayClassifier(["kijk", "om"], [N])
+    # "a b" occurs twice, with other labels the second time: the first match serves
+    repeated = ReplayClassifier(["a", "b", "c", "a", "b"], [N, C, N, P, C])
+    assert repeated.classify(["a", "b"]) == [N, C]
+    assert repeated.classify(["a"]) == [N]
+    assert repeated.classify(["c", "a", "b"]) == [N, P, C]
 
 
 def _linear_find(words, window):
@@ -646,7 +651,7 @@ def test_label_cache_stays_within_its_bound_inside_one_long_call(monkeypatch):
     assert 0 < len(model._label_cache) <= 50
 
 
-@pytest.mark.parametrize("first, second", [(1, 2), (2, N_LABELS - 1), (0, 3)])
+@pytest.mark.parametrize("first, second", [(1, 2), (2, N_LABELS - 1), (0, 3), (0, 1)])
 def test_a_tie_between_two_labels_goes_to_the_earlier_one(first, second):
     # the two halves of the tie come from different feature rows
     ids = _context_ids(*_window_keys(["a"])[0])

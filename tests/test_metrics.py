@@ -156,17 +156,15 @@ def test_report_all_diagonal_is_perfect():
     assert rep.macro_f1 == 1.0
     for m in rep.per_class.values():
         assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
-    assert not rep.zero_division
 
 
-def test_report_zero_denominator_scores_zero_with_flag():
+def test_report_zero_denominator_scores_zero():
     cm = [[0] * 6 for _ in range(6)]
     cm[REPORT_INDEX[N]][REPORT_INDEX[N]] = 5
     rep = report(cm)
     assert rep.per_class[P].precision == 0.0
     assert rep.per_class[P].recall == 0.0
     assert rep.per_class[P].f1 == 0.0
-    assert rep.zero_division
 
 
 def test_report_empty_matrix():

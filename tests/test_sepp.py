@@ -89,18 +89,16 @@ def test_crlf_and_bom_tolerated():
 
 
 def test_inconsistent_flag_warns_by_default():
-    with pytest.warns(SeppConsistencyWarning):
-        doc = parse_sepp("openen\t0\t.\n")
-    # parsed as-is, not silently fixed
-    assert doc.tokens == [LabeledToken("openen", False, PunctLabel.PERIOD)]
-
-
-def test_inconsistent_flag_errors_in_strict_mode():
-    with pytest.raises(SeppParseError) as exc_info:
-        parse_sepp("openen\t0\t.\n", strict=True)
-    assert exc_info.value.code == "FLAG_LABEL_MISMATCH"
-    with pytest.raises(SeppParseError):
-        parse_sepp("woord\t1\t0\n", strict=True)
+    # a full stop without the flag, and the flag without any mark
+    cases = [
+        ("openen\t0\t.\n", LabeledToken("openen", False, PunctLabel.PERIOD)),
+        ("woord\t1\t0\n", LabeledToken("woord", True, PunctLabel.NONE)),
+    ]
+    for text, token in cases:
+        with pytest.warns(SeppConsistencyWarning):
+            doc = parse_sepp(text)
+        # parsed as-is, not silently fixed
+        assert doc.tokens == [token]
 
 
 def test_write_period_row_derives_flag():
