@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 import struct
 import zlib
+from collections import Counter
 from typing import Iterable, Protocol, Sequence
 
 from .errors import (
@@ -298,23 +298,28 @@ class LinearModel:
 
 def _pooled_examples(
     documents: Iterable[SeppDocument], window_words: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """One (feature ids, gold) example per token, in a canonical order.
+) -> tuple[list[tuple[tuple[int, ...], int]], list[int]]:
+    """The distinct (feature ids, gold) examples in sorted order, and how often each occurs.
 
     Documents are chunked into consecutive windows of at most
-    ``window_words`` words; sorting the pooled examples makes training
+    ``window_words`` words, each position one example.  Equal examples are
+    counted, not kept: each distinct context is hashed once, and contexts
+    whose feature ids coincide pool their counts.  Sorting makes training
     independent of document concatenation order.
     """
-    examples: list[tuple[tuple[int, ...], int]] = []
+    seen: Counter[tuple[tuple, int]] = Counter()
     for doc in documents:
         words = [t.word for t in doc.tokens]
         golds = [t.label.index for t in doc.tokens]
         for start in range(0, len(words), window_words):
             keys = _window_keys(words[start : start + window_words])
-            for i, key in enumerate(keys, start):
-                examples.append((_context_ids(*key), golds[i]))
-    examples.sort()
-    return examples
+            seen.update(zip(keys, golds[start : start + window_words]))
+    ids = {key: _context_ids(*key) for key in {key for key, _ in seen}}
+    pooled: Counter[tuple[tuple[int, ...], int]] = Counter()
+    for (key, gold), count in seen.items():
+        pooled[ids[key], gold] += count
+    examples = sorted(pooled)
+    return examples, [pooled[example] for example in examples]
 
 
 def train_reference(
@@ -326,9 +331,10 @@ def train_reference(
 ) -> LinearModel:
     """Train the averaged perceptron on per-token decisions.
 
-    Examples are pooled over all documents, shuffled once per epoch with
-    the seeded RNG, and the returned weights are the running average over
-    every training step.  Updates fire whenever the gold label fails to
+    Examples are pooled over all documents (equal ones counted, see
+    :func:`_pooled_examples`), shuffled once per epoch with the seeded
+    RNG, and the returned weights are the running average over every
+    training step.  Updates fire whenever the gold label fails to
     strictly outscore every other label (the zero-margin variant), which
     keeps the averaged weights from drifting on ties.  Weights change only
     in an update, so an example scored correct, or one equal to it, is not
@@ -349,8 +355,8 @@ def train_reference(
         raise OutOfRangeError(f"epochs {epochs} must lie in [0, 2**32 - 1]")
     if window_words < 1:
         raise OutOfRangeError(f"window_words {window_words} must be at least 1")
-    examples = _pooled_examples(train, window_words)
-    if not examples:
+    distinct, counts = _pooled_examples(train, window_words)
+    if not distinct:
         raise EmptyTrainingSetError("no training tokens")
 
     weights: dict[int, list[float]] = {}
@@ -369,13 +375,11 @@ def train_reference(
         st[c] = step - 1
         row[c] += delta
 
-    # The examples are sorted, so equal ones are adjacent: each run of them
-    # is one slot, and ``order`` holds each example's slot.  A shuffle moves
-    # positions whatever they hold, so it permutes the slots exactly as it
-    # would the example indices.
-    starts = list(map(operator.ne, examples[1:], examples))
-    order = list(itertools.accumulate(starts, initial=0))
-    distinct = [examples[0], *itertools.compress(examples[1:], starts)]
+    # Each distinct example is one slot, and ``order`` holds the slot of
+    # every example of the sorted pool: each slot ``count`` times, in turn.
+    # A shuffle moves positions whatever they hold, so it permutes the slots
+    # exactly as it would the example indices.
+    order = [slot for slot, count in enumerate(counts) for _ in range(count)]
     # clean_at[slot] == updates: the slot scored correct and no update has
     # come since, so the unchanged weights would score it correct again
     clean_at = [-1] * len(distinct)

@@ -70,6 +70,8 @@ class SegmenterConfig:
             raise ConfigError(f"theta must be a real number, not {self.theta!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError("theta must lie in [0, 1]")
+        # every vote ratio is a double, so every test against theta reads one double
+        object.__setattr__(self, "theta", float(self.theta))
         try:
             segmenters = frozenset(self.segmenters)
         except TypeError:  # not iterable, or holds something unhashable
@@ -272,12 +274,25 @@ def _vote(
         rows[i][label.index] += 1
 
 
-#: How far below theta a settled word's edge ratio ``e / c`` must lie in
-#: pooled mode.  The pooled test sums up to ``N_LABELS - 1`` rounded
-#: ratios of the word's edge votes, which total at most ``e / c``;
-#: in doubles that sum exceeds the rounded ``e / c`` by less than 1e-15, so
-#: ``e / c <= theta - margin`` keeps it at or below theta.
+#: How far below theta the ratio ``m / c`` of a word's ``m`` mark votes
+#: (all but NONE) of ``c`` must lie in pooled mode for no mark to pass.
+#: The pooled test sums up to ``N_LABELS - 1`` rounded ratios of those
+#: votes, which total at most ``m / c``; in doubles that sum exceeds the
+#: rounded ``m / c`` by less than 1e-15, so ``m / c <= theta - margin``
+#: keeps it at or below theta.  A settled word's edge votes
+#: (:func:`_settled_stretch`) and every row :func:`decide` skips are held
+#: to this bound.
 _POOLED_MARGIN = 1e-9
+
+
+def _mark_theta(cfg: SegmenterConfig) -> float:
+    """The bound a word's mark ratio ``m / c`` must not exceed for every mark to fail theta.
+
+    Division rounds monotonically, so each mark's own ratio is at most
+    ``m / c`` and fails a theta of at least ``m / c``; in pooled mode the
+    summed segmenting ratios also need :data:`_POOLED_MARGIN`.
+    """
+    return cfg.theta - (_POOLED_MARGIN if cfg.pooling == "pooled" else 0.0)
 
 
 def _settled_stretch(
@@ -308,7 +323,7 @@ def _settled_stretch(
     """
     last, step = starts[-1], starts.step
     theta = cfg.theta
-    edge_theta = theta - (_POOLED_MARGIN if cfg.pooling == "pooled" else 0.0)
+    edge_theta = _mark_theta(cfg)
 
     def settled(p: int) -> bool:
         c = _starts_holding(p, 0, w, last, step)
@@ -444,6 +459,14 @@ def decide(
     A settled word of :class:`SettledVotes` keeps the label it carries,
     and is a boundary when that label segments; a plain row list has no
     settled word.
+
+    A row whose ``m`` mark votes (all but NONE) of ``c`` give ``m / c`` at
+    or below theta (less :data:`_POOLED_MARGIN` in pooled mode, see
+    :func:`_mark_theta`) stays NONE untested: no mark's ratio, nor the
+    pooled sum, can pass.  Far from a stream's ends, a word whose interior
+    label is NONE takes mark votes only from window edges, at most ``2k``
+    of ``W`` for a classifier of ``context_words = k``, so at ``W = 200``,
+    ``k = 4`` and theta 0.1 its row is skipped.
     """
     rows, a, settled = votes if isinstance(votes, SettledVotes) else (votes, 0, ())
     seg_idx = sorted(label.index for label in cfg.segmenters)
@@ -451,6 +474,7 @@ def decide(
     pooled = cfg.pooling == "pooled"
     candidates = [c for c in range(1, N_LABELS) if not (pooled and c in seg_set)]
     theta = cfg.theta
+    mark_theta = _mark_theta(cfg)
     none = PunctLabel.NONE  # a local: reading the enum member per word costs more
     b = a + len(settled)
     labels = [none] * (len(rows) + len(settled))
@@ -461,7 +485,8 @@ def decide(
     indexed = zip(chain(range(a), range(b, len(labels))), rows) if settled else enumerate(rows)
     for i, row in indexed:  # i: the word whose row it is
         cov = sum(row)
-        if row[0] == cov:  # no vote but NONE, or none at all: NONE at every theta in [0, 1]
+        marks = cov - row[0]
+        if not marks or marks / cov <= mark_theta:  # no mark can pass theta: NONE
             continue
         if pooled and sum(row[c] / cov for c in seg_idx) > theta:
             best = seg_idx[0]

@@ -131,6 +131,14 @@ def parse_sepp(stream: str | Iterable[str]) -> SeppDocument:
     without any mark) are accepted with a ``SeppConsistencyWarning``,
     because published corpora contain such rows.
     """
+    return _parse_sepp(stream, "")
+
+
+def _parse_sepp(stream: str | Iterable[str], where: str) -> SeppDocument:
+    """:func:`parse_sepp`, each warning's message led by ``where``.
+
+    A warning points at the caller of the public function that called this one.
+    """
     tokens: list[LabeledToken] = []
     lines = stream.split("\n") if isinstance(stream, str) else stream
     for line_no, raw in enumerate(lines, start=1):
@@ -158,16 +166,17 @@ def parse_sepp(stream: str | Iterable[str]) -> SeppDocument:
         eos = flag == "1"
         if (label is _PERIOD and not eos) or (label is _NONE and eos):
             warnings.warn(
-                f"line {line_no}: flag {flag} contradicts label {label_ch!r}",
+                f"{where}line {line_no}: flag {flag} contradicts label {label_ch!r}",
                 SeppConsistencyWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         tokens.append(LabeledToken(word, eos, label))
     return SeppDocument(tokens)
 
 
 def parse_sepp_file(path) -> SeppDocument:
-    return parse_sepp(read_lines(path))
+    """:func:`parse_sepp` over the lines of ``path``; each warning names the file."""
+    return _parse_sepp(read_lines(path), f"{path}: ")
 
 
 def _render_flag(token: LabeledToken) -> str:

@@ -52,6 +52,9 @@ def tokenize(line: str) -> list[str]:
     """
     out: list[str] = []
     for chunk in line.split():
+        if DETACH_CHARS.isdisjoint(chunk):
+            out.append(chunk)
+            continue
         buf: list[str] = []
         for i, ch in enumerate(chunk):
             if ch in DETACH_CHARS:

@@ -24,9 +24,11 @@ class Mutant(NamedTuple):
 _SEGMENTER = "src/puncseg/segmenter.py"
 _CLASSIFIER = "src/puncseg/classifier.py"
 _METRICS = "src/puncseg/metrics.py"
+_TEXTPREP = "src/puncseg/textprep.py"
 _TESTS = "tests/test_segmenter.py::"
 _CLASSIFIER_TESTS = "tests/test_classifier.py::"
 _METRICS_TESTS = "tests/test_metrics.py::"
+_TEXTPREP_TESTS = "tests/test_textprep.py::"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -95,7 +97,7 @@ MUTANTS: tuple[Mutant, ...] = (
         "if ratio > best_ratio:",
         "if ratio >= best_ratio:",
         (
-            _TESTS + "test_decide_strict_inequality_at_theta_one",
+            _TESTS + "test_decide_skips_only_rows_whose_marks_cannot_pass_theta_exhaustively",
             _TESTS + "test_decide_tie_breaks_by_label_order",
             _TESTS + "test_decide_matches_the_oracle_on_random_vote_rows",
         ),
@@ -139,5 +141,30 @@ MUTANTS: tuple[Mutant, ...] = (
             _CLASSIFIER_TESTS + "test_training_equals_the_oracle_that_scores_every_step",
             _CLASSIFIER_TESTS + "test_examples_that_disagree_are_scored_again_in_every_epoch",
         ),
+    ),
+    Mutant(
+        "decide-skips-on-the-period-votes", _SEGMENTER,
+        "marks = cov - row[0]",
+        "marks = cov - row[1]",
+        (
+            _TESTS + "test_decide_skips_only_rows_whose_marks_cannot_pass_theta_exhaustively",
+            _TESTS + "test_decide_matches_the_oracle_on_random_vote_rows",
+        ),
+    ),
+    Mutant(
+        "every-example-counted-once", _CLASSIFIER,
+        "[pooled[example] for example in examples]",
+        "[1 for example in examples]",
+        (
+            _CLASSIFIER_TESTS + "test_training_equals_the_oracle_that_scores_every_step",
+            _CLASSIFIER_TESTS + "test_pooled_examples_count_the_examples_the_oracle_lists",
+            _CLASSIFIER_TESTS + "test_pooled_examples_merge_contexts_whose_feature_ids_coincide",
+        ),
+    ),
+    Mutant(
+        "tokenize-passes-a-chunk-with-no-digit-joinable-whole", _TEXTPREP,
+        "if DETACH_CHARS.isdisjoint(chunk):",
+        "if _DIGIT_JOINABLE.isdisjoint(chunk):",
+        (_TEXTPREP_TESTS + "test_tokenize_cases",),
     ),
 )

@@ -47,6 +47,26 @@ def brute_force_context_ids(prev, cur, nxt, nxt2, bucket, is_last):
     return tuple(zlib.crc32(f.encode("utf-8")) & (FEATURE_SPACE - 1) for f in features)
 
 
+def brute_force_examples(docs, window_words):
+    """Every training example as (feature ids, gold label index), sorted.
+
+    Each document is cut into consecutive chunks of ``window_words`` words,
+    and every position of a chunk is one example of its own context."""
+    examples = []
+    for doc in docs:
+        tokens = list(doc.tokens)
+        for start in range(0, len(tokens), window_words):
+            chunk = tokens[start : start + window_words]
+            words = ["<s>"] + [t.word for t in chunk] + ["</s>", "</s>"]
+            for j, token in enumerate(chunk):
+                ids = brute_force_context_ids(
+                    words[j], words[j + 1], words[j + 2], words[j + 3],
+                    str(j) if j < 4 else "4+", j == len(chunk) - 1,
+                )
+                examples.append((ids, LABELS.index(token.label)))
+    return sorted(examples)
+
+
 def brute_force_scores(weights, ids):
     """Each label's score, added in place row by row in ``ids`` order.
 
@@ -64,7 +84,7 @@ def brute_force_train(examples, epochs, seed):
     """Averaged perceptron weights from scoring every step, rows as tuples.
 
     ``examples`` are the pooled (feature ids, gold) pairs in their sorted
-    order; each epoch shuffles their indices with the seeded RNG and scores
+    order, as :func:`brute_force_examples` lists them; each epoch shuffles their indices with the seeded RNG and scores
     every example, updating on a zero-margin mistake."""
     n_labels = len(LABELS)
     weights = {}

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corpora import template_corpus
-from oracles import brute_force_context_ids, brute_force_scores, brute_force_train
+from oracles import (
+    brute_force_context_ids,
+    brute_force_examples,
+    brute_force_scores,
+    brute_force_train,
+)
 from puncseg.classifier import (
     FEATURE_SPACE,
     LABELS,
@@ -141,8 +146,34 @@ def _contradicting_corpora(draw):
        st.integers(1, 6))
 def test_training_equals_the_oracle_that_scores_every_step(docs, epochs, seed, window_words):
     model = train_reference(docs, epochs=epochs, seed=seed, window_words=window_words)
-    want = brute_force_train(_pooled_examples(docs, window_words), epochs, seed)
+    want = brute_force_train(brute_force_examples(docs, window_words), epochs, seed)
     assert _model_bytes(model) == _model_bytes(LinearModel(want, seed=seed, epochs=epochs))
+
+
+def _expanded(pool):
+    examples, counts = pool
+    return [example for example, count in zip(examples, counts) for _ in range(count)]
+
+
+@pytest.mark.parametrize("window_words", [1, 2, 5, 200])
+def test_pooled_examples_count_the_examples_the_oracle_lists(window_words):
+    # "a b c." recurs, and the context of "y" ending a document is seen as "." and ","
+    docs = [_abc_corpus(7), _doc([("x", N), ("y", P)]), _doc([("x", N), ("y", C)])]
+    examples, counts = _pooled_examples(docs, window_words)
+    assert examples == sorted(set(examples))
+    assert max(counts) > 1
+    assert len({ids for ids, _ in examples}) < len(examples)  # one context, two golds
+    assert _expanded((examples, counts)) == brute_force_examples(docs, window_words)
+
+
+def test_pooled_examples_merge_contexts_whose_feature_ids_coincide(monkeypatch):
+    from puncseg import classifier
+
+    # ids of the current word alone: "a" opening a sentence and "a" inside one coincide
+    monkeypatch.setattr(classifier, "_context_ids", lambda prev, cur, *rest: (len(cur),))
+    docs = [_doc([("a", N), ("bb", N), ("a", P), ("a", N), ("ccc", P)])]
+    assert _pooled_examples(docs, 200) == ([((1,), 0), ((1,), 1), ((2,), 0), ((3,), 1)],
+                                           [2, 1, 1, 1])
 
 
 def _scored(monkeypatch, docs, epochs):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import tracemalloc
 import zlib
 from collections import deque
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -829,6 +831,52 @@ def test_the_pooled_margin_keeps_a_rounded_pool_exact():
     labels, bounds = brute_force_segment(stream, EdgeMarks(), 20, 1, 0.3, segmenters, "pooled")
     assert (got.labels, got.boundaries) == (labels, sorted(bounds))
     assert got.labels[30] is Q
+
+
+def test_decide_skips_only_rows_whose_marks_cannot_pass_theta_exhaustively():
+    # every six-count row covered at most 8 times, at every theta where a ratio, or
+    # the mark ratio decide skips on, can flip, and at the doubles on either side;
+    # the int thetas 0 and 1 too
+    rows = [
+        list(row) for row in itertools.product(range(9), repeat=len(LABELS)) if sum(row) <= 8
+    ]
+    counts = [dict(zip(LABELS, row)) for row in rows]
+    coverage = _coverage(rows)
+    ratios = {i / c for c in range(1, 9) for i in range(c + 1)}
+    near = {math.nextafter(r, side) for r in ratios for side in (-math.inf, math.inf)}
+    thetas = [0, 1, *sorted(t for t in ratios | near if 0.0 <= t <= 1.0)]
+    for theta, pooling, segmenters in itertools.product(
+        thetas, _POOLINGS, (frozenset({P, Q}), frozenset({P, C, Q}))
+    ):
+        cfg = SegmenterConfig(theta=theta, segmenters=segmenters, pooling=pooling)
+        expected = brute_force_decide(counts, coverage, theta, segmenters, pooling)
+        assert decide(rows, cfg) == expected
+
+
+def test_segment_with_a_fraction_theta_decides_like_the_exact_votes():
+    # Word 39 takes 4 COMMA votes of 40; 4 / 40 rounds to the double 0.1, which lies
+    # above 1/10: every test must read theta as that double, or segment settles the
+    # word as NONE while the exact votes, held to the Fraction, pass it.
+    class FirstFourCommas:
+        name = "first-four-commas"
+        max_window_words = None
+        context_words = 4
+
+        def classify(self, window):
+            return [C if j < 4 else N for j in range(len(window))]
+
+    stream = _stream(400)
+    cfg = SegmenterConfig(theta=Fraction(1, 10))
+    got = segment(stream, FirstFourCommas(), cfg)
+    assert (got.labels, set(got.boundaries)) == decide(
+        accumulate_votes(stream, FirstFourCommas(), cfg), cfg
+    )
+    labels, bounds = brute_force_segment(
+        stream, FirstFourCommas(), 200, 1, cfg.theta, cfg.segmenters, cfg.pooling
+    )
+    assert (got.labels, got.boundaries) == (labels, sorted(bounds))
+    assert got.labels[39] is N and got.labels[38] is C
+    assert cfg.theta == 0.1 and type(cfg.theta) is float
 
 
 @settings(max_examples=60, deadline=None)

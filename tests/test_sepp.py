@@ -1,5 +1,6 @@
 import ast
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from puncseg.sepp import (
     PunctLabel,
     SeppDocument,
     parse_sepp,
+    parse_sepp_file,
     read_lines,
     strip_labels,
     write_sepp,
@@ -99,6 +101,24 @@ def test_inconsistent_flag_warns_by_default():
             doc = parse_sepp(text)
         # parsed as-is, not silently fixed
         assert doc.tokens == [token]
+
+
+def test_warnings_from_two_files_name_each_file(tmp_path):
+    paths = [tmp_path / "gold.sepp", tmp_path / "pred.sepp"]
+    for path in paths:
+        path.write_text("a\t0\t.\nb\t1\t0\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")  # shows a message once per place it is raised
+        for path in paths:
+            parse_sepp_file(path)
+        parse_sepp("a\t0\t.\n")
+    assert [str(w.message) for w in caught] == [
+        *(f"{path}: line {n}: flag {flag} contradicts label {label!r}"
+          for path in paths for n, flag, label in ((1, "0", "."), (2, "1", "0"))),
+        "line 1: flag 0 contradicts label '.'",
+    ]
+    # each points at the line that called the parser, not into the library
+    assert {(w.category, w.filename) for w in caught} == {(SeppConsistencyWarning, __file__)}
 
 
 def test_write_period_row_derives_flag():
