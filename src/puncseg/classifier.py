@@ -453,18 +453,18 @@ def save_model(model: LinearModel, path) -> None:
 
 
 def load_model(path) -> LinearModel:
-    """Read a file written by :func:`save_model`; any defect raises a coded error."""
+    """Read a file written by :func:`save_model`; a defect raises a coded error led by ``path``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 4:
-        raise CorruptModelError("file too short for magic header")
+        raise CorruptModelError(f"{path}: file too short for magic header")
     if data[:4] != _MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}")
+        raise BadMagicError(f"{path}: bad magic {data[:4]!r}")
     try:
         (version,) = _U32.unpack_from(data, 4)
         if version != _FORMAT_VERSION:
             raise VersionMismatchError(
-                f"model format version {version}, expected {_FORMAT_VERSION}"
+                f"{path}: model format version {version}, expected {_FORMAT_VERSION}"
             )
         sections = []
         end = 8
@@ -472,29 +472,31 @@ def load_model(path) -> LinearModel:
             start = end + _U32.size
             end = start + _U32.unpack_from(data, end)[0]
             if end > len(data):
-                raise CorruptModelError("unexpected end of model file")
+                raise CorruptModelError(f"{path}: unexpected end of model file")
             sections.append(data[start:end])
         if end != len(data):
-            raise CorruptModelError("trailing bytes after final section")
+            raise CorruptModelError(f"{path}: trailing bytes after final section")
         feature_space, template_version, seed, epochs = _META.unpack(sections[0])
         (n_triples,) = _U64.unpack_from(sections[2])
     except struct.error as exc:
-        raise CorruptModelError(f"malformed model file: {exc}") from None
+        raise CorruptModelError(f"{path}: malformed model file: {exc}") from None
     if feature_space != FEATURE_SPACE or template_version != TEMPLATE_VERSION:
         raise VersionMismatchError(
-            f"feature space {feature_space}/template {template_version} not supported"
+            f"{path}: feature space {feature_space}/template {template_version} not supported"
         )
     if sections[1] != _LABEL_SECTION:
-        raise CorruptModelError("model label list does not match the known alphabet")
+        raise CorruptModelError(f"{path}: model label list does not match the known alphabet")
     body = sections[2][_U64.size :]
     if len(body) != n_triples * _TRIPLE.size:
-        raise CorruptModelError(f"weight section holds {len(body)} bytes for {n_triples} triples")
+        raise CorruptModelError(
+            f"{path}: weight section holds {len(body)} bytes for {n_triples} triples"
+        )
 
     weights: dict[int, tuple[float, ...]] = {}
     open_fid, row = -1, []  # the row being filled: save_model writes a row's triples together
     for fid, c, w in _TRIPLE.iter_unpack(body):
         if fid >= FEATURE_SPACE or c >= N_LABELS:
-            raise CorruptModelError(f"weight triple out of range: ({fid}, {c})")
+            raise CorruptModelError(f"{path}: weight triple out of range: ({fid}, {c})")
         if fid != open_fid:
             if row:
                 weights[open_fid] = tuple(row)

@@ -17,12 +17,15 @@ class ToolkitError(Exception):
 
 
 class SeppParseError(ToolkitError):
-    """A malformed SEPP line; ``line_no`` is 1-based and counts every physical line."""
+    """A malformed SEPP line; ``line_no`` is 1-based and counts every physical line.
 
-    def __init__(self, code: str, line_no: int, message: str):
+    The message reads ``line N: ...``, led by ``where`` (a file's ``<path>: ``).
+    """
+
+    def __init__(self, code: str, line_no: int, message: str, where: str = ""):
         self.code = code
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(f"{where}line {line_no}: {message}")
 
 
 class EmptyCorpusError(ToolkitError):

@@ -18,11 +18,12 @@ classified in full.
 
 :func:`segment` thresholds at one theta, so it also settles words: a word
 whose edge votes are too few to move its decision at that theta is
-decided by its interior label, so it carries that label and no vote row,
-and an edge slice is classified only when it holds an unsettled word.
-On a long stream at ``W = 200`` and theta 0.1 that leaves about 40 rows
-and the edges of about 40 windows at each end, so about one context is
-scored per word instead of seven.  Its labels and boundaries are those
+decided by its interior label, so it carries that label, all settled
+words share one vote row that nothing reads, and an edge slice is
+classified only when it holds an unsettled word.  On a long stream at
+``W = 200`` and theta 0.1 that leaves about 40 rows of their own and the
+edges of about 40 windows at each end, so about one context is scored
+per word instead of seven.  Its labels and boundaries are those
 of the exact votes, which :func:`accumulate_votes` still returns by
 default, as a sweep over theta needs.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, cycle, islice, tee
+from itertools import chain, cycle, islice, repeat, tee
 from numbers import Real
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -203,10 +204,10 @@ def _classify(classifier: Classifier, words: Sequence[str], at: int) -> list[Pun
 class SettledVotes(NamedTuple):
     """The votes of :func:`accumulate_votes` with ``settle=True``.
 
-    The words of the settled stretch ``[a, a + len(labels))`` carry their
-    interior labels and no row; ``rows`` holds the vote rows of the other
-    words in stream order, so the row of a word ``p`` past the stretch is
-    ``rows[p - len(labels)]``.
+    ``rows[p]`` is word ``p``'s vote row.  The words of the settled
+    stretch ``[a, a + len(labels))`` carry their interior labels and
+    share one row object, which takes whatever edge votes overlap the
+    stretch and which nothing reads.
     """
 
     rows: list[list[int]]
@@ -233,17 +234,21 @@ def accumulate_votes(
     With ``settle=True`` the votes are :class:`SettledVotes`.  On the
     ``context_words`` path only, each word of the stretch
     :func:`_settled_stretch` finds at ``cfg`` carries its interior label
-    and no row, and an edge slice is classified only when it holds a word
-    outside that stretch, whose rows are exact.  :func:`decide` at ``cfg``
-    gives every word the label it gives the exact table; at another theta
-    or pooling it may not.
+    and the stretch's one shared row, and an edge slice is classified
+    only when it holds a word outside that stretch, whose rows are exact.
+    :func:`decide` at ``cfg`` gives every word the label it gives the
+    exact table; at another theta or pooling it may not.
     """
     wins = windows(stream, cfg)
     limit, k = _capabilities(classifier)
     n, w = len(stream), cfg.window_words
     shared = len(wins) > 1 and k and 2 * k < w and (limit is None or limit >= w)
     a, b = _settled_stretch(n, wins.starts, w, k, cfg) if shared and settle else (0, 0)
-    rows = [[0] * N_LABELS for _ in range(n - (b - a))]
+    # The settled words share settled_row; every other row is a copy of it, made before
+    # any vote and at C speed (a generator slows short streams).
+    settled_row = [0] * N_LABELS
+    rows = [*map(list.copy, repeat(settled_row, a)), *repeat(settled_row, b - a)]
+    rows += map(list.copy, repeat(settled_row, n - b))
     labels = [PunctLabel.NONE] * (b - a)
     if shared:
         _shared_interior_votes(rows, labels, wins.stream, wins.starts, classifier, w, k, a, b)
@@ -253,23 +258,8 @@ def accumulate_votes(
     return SettledVotes(rows, a, labels) if settle else rows
 
 
-def _vote(
-    rows: list[list[int]], start: int, labels: Sequence[PunctLabel], a: int = 0, b: int = 0
-) -> None:
-    """Count one vote per label, the first for word ``start``.
-
-    The words of ``[a, b)`` have no row and take no vote; the row of a
-    word ``p >= b`` is ``rows[p - (b - a)]``.
-    """
-    if start < b and start + len(labels) > a:  # a word of [a, b) among them
-        for p, label in enumerate(labels, start):
-            if p < a:
-                rows[p][label.index] += 1
-            elif p >= b:
-                rows[p - b + a][label.index] += 1
-        return
-    if start >= b:
-        start -= b - a
+def _vote(rows: list[list[int]], start: int, labels: Sequence[PunctLabel]) -> None:
+    """Count one vote per label, the first for word ``start``."""
     for i, label in enumerate(labels, start):
         rows[i][label.index] += 1
 
@@ -309,7 +299,7 @@ def _settled_stretch(
     other label, nor in pooled mode the summed segmenting labels that are
     not it, can pass (the pooled test asks ``e / c <= theta -
     _POOLED_MARGIN``).  So ``decide`` gives it its interior label, which
-    the word can carry in place of its row (:class:`SettledVotes`).
+    the word can carry in place of a row of its own (:class:`SettledVotes`).
 
     The stretch grows word by word from the middle word, and is ``(0,
     0)`` when that word is not settled.  Two runs of words need not be
@@ -391,12 +381,13 @@ def _shared_interior_votes(
     sliced from the stream as the call is made.
 
     The words of the settled stretch ``[a, b)`` (see
-    :func:`_settled_stretch`; empty for the exact votes) have no row and
-    take no vote: ``settled`` holds, for each of them, the interior label
-    of the full window that labels it first, and ``rows`` the rows of the
-    other words, indexed as :func:`_vote` indexes them.  An edge slice
-    whose voting words all lie in ``[a, b)`` is not classified, and the
-    walk skips the windows that would classify nothing.
+    :func:`_settled_stretch`; empty for the exact votes) take no interior
+    vote: ``settled`` holds, for each of them, the interior label of the
+    full window that labels it first.  ``rows[p]`` is word ``p``'s row;
+    the words of ``[a, b)`` share one, so the edge votes that land there
+    cost nothing and are never read.  An edge slice whose voting words
+    all lie in ``[a, b)`` is not classified, and the walk skips the
+    windows that would classify nothing.
     """
     known = 0  # every word before this one has had its interior votes cast
     last, step = starts[-1], starts.step
@@ -415,11 +406,10 @@ def _shared_interior_votes(
             lo, hi = max(first_unknown, a), min(stop, b)
             if lo < hi:
                 settled[lo - a : hi - a] = head[lo - s : hi - s]
-            outside = ((first_unknown, min(stop, a), 0), (max(first_unknown, b), stop, b - a))
-            for lo, hi, shift in outside:
+            for lo, hi in ((first_unknown, min(stop, a)), (max(first_unknown, b), stop)):
                 labels = head[lo - s : hi - s]
                 weights = _held(lo, hi, k, w, last, step)
-                for i, label, held in zip(range(lo - shift, hi - shift), labels, weights):
+                for i, label, held in zip(range(lo, hi), labels, weights):
                     rows[i][label.index] += held
             known = stop
         else:
@@ -432,9 +422,9 @@ def _shared_interior_votes(
                 tail = _classify(classifier, stream[stop - k : s + w], stop - k)
                 tails.append((stop - k, tail))
         if head is not None:
-            _vote(rows, s, head[:k], a, b)
+            _vote(rows, s, head[:k])
         if tail is not None:
-            _vote(rows, stop, tail[k:], a, b)
+            _vote(rows, stop, tail[k:])
         if s == last:
             return
         s += step
@@ -456,9 +446,9 @@ def decide(
     it exceeds theta the best segmenting label wins, otherwise the word is
     decided per-class over the non-segmenting labels only.  A word covered
     by no window stays NONE, and so does a word with no vote but NONE.
-    A settled word of :class:`SettledVotes` keeps the label it carries,
-    and is a boundary when that label segments; a plain row list has no
-    settled word.
+    A settled word of :class:`SettledVotes` keeps the label it carries
+    and is a boundary when that label segments; its shared row is not
+    read.  A plain row list has no settled word.
 
     A row whose ``m`` mark votes (all but NONE) of ``c`` give ``m / c`` at
     or below theta (less :data:`_POOLED_MARGIN` in pooled mode, see
@@ -477,13 +467,13 @@ def decide(
     mark_theta = _mark_theta(cfg)
     none = PunctLabel.NONE  # a local: reading the enum member per word costs more
     b = a + len(settled)
-    labels = [none] * (len(rows) + len(settled))
+    labels = [none] * len(rows)
     labels[a:b] = settled
     boundaries = {
         i for i, label in enumerate(settled, a) if label is not none and label.index in seg_set
     } if settled else set()
-    indexed = zip(chain(range(a), range(b, len(labels))), rows) if settled else enumerate(rows)
-    for i, row in indexed:  # i: the word whose row it is
+    for i in chain(range(a), range(b, len(rows))):  # the rows of [a, b) are never read
+        row = rows[i]
         cov = sum(row)
         marks = cov - row[0]
         if not marks or marks / cov <= mark_theta:  # no mark can pass theta: NONE
@@ -538,8 +528,8 @@ def segment(
 
     The votes are settled at ``cfg`` (see :func:`accumulate_votes`), so a
     classifier that declares ``context_words`` labels mainly full windows,
-    and a settled word carries its interior label and no vote row; the
-    labels and boundaries are those of the exact votes.
+    and a settled word carries its interior label in place of a vote row
+    of its own; the labels and boundaries are those of the exact votes.
     """
     votes = accumulate_votes(stream, classifier, cfg, settle=True)
     labels, boundaries = decide(votes, cfg)

@@ -14,6 +14,7 @@ import os
 import secrets
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -135,10 +136,11 @@ def parse_sepp(stream: str | Iterable[str]) -> SeppDocument:
 
 
 def _parse_sepp(stream: str | Iterable[str], where: str) -> SeppDocument:
-    """:func:`parse_sepp`, each warning's message led by ``where``.
+    """:func:`parse_sepp`, each error's and warning's message led by ``where``.
 
     A warning points at the caller of the public function that called this one.
     """
+    error = partial(SeppParseError, where=where)
     tokens: list[LabeledToken] = []
     lines = stream.split("\n") if isinstance(stream, str) else stream
     for line_no, raw in enumerate(lines, start=1):
@@ -149,20 +151,18 @@ def _parse_sepp(stream: str | Iterable[str], where: str) -> SeppDocument:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise SeppParseError(
+            raise error(
                 "LINE_FORMAT", line_no, f"expected 3 tab-separated fields, got {len(fields)}"
             )
         word, flag, label_ch = fields
         if not word:
-            raise SeppParseError("EMPTY_WORD", line_no, "empty word column")
+            raise error("EMPTY_WORD", line_no, "empty word column")
         if flag not in ("0", "1"):
-            raise SeppParseError("BAD_FLAG", line_no, f"flag column must be 0 or 1, got {flag!r}")
+            raise error("BAD_FLAG", line_no, f"flag column must be 0 or 1, got {flag!r}")
         try:
             label = label_from_char(label_ch)
         except KeyError:
-            raise SeppParseError(
-                "BAD_LABEL", line_no, f"unknown label {label_ch!r}"
-            ) from None
+            raise error("BAD_LABEL", line_no, f"unknown label {label_ch!r}") from None
         eos = flag == "1"
         if (label is _PERIOD and not eos) or (label is _NONE and eos):
             warnings.warn(
@@ -175,7 +175,7 @@ def _parse_sepp(stream: str | Iterable[str], where: str) -> SeppDocument:
 
 
 def parse_sepp_file(path) -> SeppDocument:
-    """:func:`parse_sepp` over the lines of ``path``; each warning names the file."""
+    """:func:`parse_sepp` over the lines of ``path``; each error and warning names the file."""
     return _parse_sepp(read_lines(path), f"{path}: ")
 
 

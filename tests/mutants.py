@@ -84,12 +84,14 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "edge-votes-from-b-unshifted", _SEGMENTER,
-        "    if start >= b:\n",
-        "    if start > b:\n",
+        "decide-reads-the-shared-row", _SEGMENTER,
+        "chain(range(a), range(b, len(rows)))",
+        "chain(range(a + 1), range(b, len(rows)))",
         (
             _TESTS + "test_settled_votes_decide_like_the_exact_votes_exhaustively",
             _TESTS + "test_settled_votes_keep_exact_rows_outside_the_stretch_and_labels_inside",
+            _TESTS + "test_segment_with_a_fraction_theta_decides_like_the_exact_votes",
+            _TESTS + "test_segment_classifies_an_edge_slice_only_near_the_stream_ends",
         ),
     ),
     Mutant(

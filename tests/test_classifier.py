@@ -415,8 +415,8 @@ def test_every_truncation_and_byte_flip_loads_or_raises_a_coded_error(small_mode
         path.write_bytes(variant)
         try:
             load_model(path)
-        except (BadMagicError, VersionMismatchError, CorruptModelError):
-            pass
+        except (BadMagicError, VersionMismatchError, CorruptModelError) as exc:
+            assert str(exc).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("section", [0, 1, 2], ids=["meta", "labels", "weights"])

@@ -299,6 +299,19 @@ def test_eval_labels_word_mismatch(tmp_path, capsys):
     assert "token 1" in err
 
 
+@pytest.mark.parametrize("bad_first", [False, True], ids=["bad-second", "bad-first"])
+@pytest.mark.parametrize("command", ["eval-labels", "split"])
+def test_a_sepp_parse_error_names_its_file(tmp_path, capsys, command, bad_first):
+    good, bad = tmp_path / "good.sepp", tmp_path / "badflag.sepp"
+    good.write_text("a\t0\t0\nb\t1\t.\n", encoding="utf-8")
+    bad.write_text("a\t0\t0\nb\t2\t0\n", encoding="utf-8")
+    inputs = [str(bad), str(good)] if bad_first else [str(good), str(bad)]
+    outs = ["--train-out", str(tmp_path / "tr"), "--test-out", str(tmp_path / "te")]
+    code, _, err = run(capsys, command, *inputs, *(outs if command == "split" else ()))
+    assert code == 1
+    assert err == f"error: [BAD_FLAG] {bad}: line 2: flag column must be 0 or 1, got '2'\n"
+
+
 def test_eval_labels_writes_report_files(tmp_path, capsys):
     gold = tmp_path / "gold.tsv"
     atomic_write(gold, write_sepp(document_for(COPERNICUS_WORDS, COPERNICUS_PRED)))
@@ -1171,6 +1184,22 @@ def test_significance_golden_bytes(tmp_path, capsys):
         b"2\t1.000000\t0.800000\n"
         b"3\t1.000000\t1.000000\n"
     )
+
+
+def test_significance_names_the_model_file_that_fails_to_load(tmp_path, capsys):
+    # B's model loads first; only the path says which condition's model is bad
+    gold, _ = _toy_significance_corpus(tmp_path)
+    good, bad = tmp_path / "a.bin", tmp_path / "b.bin"
+    save_model(train_reference([template_corpus(10, seed=5)], 1, 0, window_words=20), good)
+    bad.write_bytes(b"xxxx")
+    for name, model in (("a", good), ("b", bad)):
+        (tmp_path / f"{name}.cfg").write_text(f"classifier = builtin:{model}\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "significance", str(gold), "--config-a", str(tmp_path / "a.cfg"),
+        "--config-b", str(tmp_path / "b.cfg"), "--block-size", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: [BAD_MAGIC] {bad}: bad magic b'xxxx'\n"
 
 
 @pytest.mark.parametrize("pooling", ["per_class", "pooled"])

@@ -749,7 +749,9 @@ def test_settled_votes_decide_like_the_exact_votes_exhaustively():
                 settled = accumulate_votes(stream, clf, cfg, settle=True)
                 assert decide(settled, cfg) == decide(exact, cfg)
                 a, b = settled.a, settled.a + len(settled.labels)
-                assert settled.rows == exact[:a] + exact[b:]
+                assert settled.rows[:a] + settled.rows[b:] == exact[:a] + exact[b:]
+                assert len(settled.rows) == len(stream)
+                assert len(set(map(id, settled.rows[a:b]))) == min(1, b - a)
                 assert settled.labels == decide(exact, cfg)[0][a:b]
                 settled_cases[pooling] += a < b
     assert min(settled_cases.values()) > 50
@@ -780,7 +782,7 @@ def test_segment_classifies_an_edge_slice_that_holds_one_unsettled_word(
 
 def test_settled_votes_keep_exact_rows_outside_the_stretch_and_labels_inside():
     # Outside the settled stretch [a, b) every vote is cast; inside it a word carries the
-    # label the exact votes give it, and no row.
+    # label the exact votes give it, and all its words share one row.
     rng = random.Random(26)
     stretches = 0
     for _ in range(300):
@@ -796,7 +798,9 @@ def test_settled_votes_keep_exact_rows_outside_the_stretch_and_labels_inside():
         settled = accumulate_votes(stream, clf, cfg, settle=True)
         a, b = _settled_stretch(n, windows(stream, cfg).starts, w, k, cfg)
         assert (settled.a, len(settled.labels)) == (a, b - a)
-        assert settled.rows == exact[:a] + exact[b:]
+        assert settled.rows[:a] + settled.rows[b:] == exact[:a] + exact[b:]
+        assert len(settled.rows) == len(stream)
+        assert len(set(map(id, settled.rows[a:b]))) == min(1, b - a)
         assert settled.labels == decide(exact, cfg)[0][a:b]
         got = segment(stream, clf, cfg)
         labels, bounds = brute_force_segment(
@@ -1151,7 +1155,7 @@ def test_window_invariant_votes_drop_tail_labels_that_no_head_takes(trained):
 
 @pytest.mark.parametrize("stride", [1, 5])
 def test_settled_votes_hold_nothing_per_word_but_the_table(trained, stride):
-    # A word has a row or a settled label; settling adds no side array per word.
+    # A word has a row, shared by the settled words; settling adds no side array per word.
     rng = random.Random(15)
     stream = [rng.choice(_VOCAB[:6]) for _ in range(20_000)]
     cfg = SegmenterConfig(window_words=200, stride=stride)
@@ -1162,13 +1166,13 @@ def test_settled_votes_hold_nothing_per_word_but_the_table(trained, stride):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(votes.rows) + len(votes.labels) == len(stream)
+    assert len(votes.rows) == len(stream)
     assert peak - held < 64 * 2**10
 
 
 def test_settled_words_carry_a_label_and_no_row(trained):
-    # At theta 0.1 the words 39 .. 19960 settle.  A label costs 8 bytes, where a row of
-    # the exact table costs about 112.
+    # At theta 0.1 the words 39 .. 19960 settle.  A settled word costs 16 bytes, a label
+    # and a pointer to the shared row, where a row of the exact table costs about 112.
     rng = random.Random(15)
     stream = [rng.choice(_VOCAB[:6]) for _ in range(20_000)]
     cfg = SegmenterConfig(window_words=200)
@@ -1179,5 +1183,5 @@ def test_settled_words_carry_a_label_and_no_row(trained):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(votes.labels) > 19_800 and len(votes.rows) < 200
+    assert len(votes.labels) > 19_800 and len(set(map(id, votes.rows))) < 200
     assert held < 16 * len(stream) + 64 * 2**10

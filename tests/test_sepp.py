@@ -79,6 +79,18 @@ def test_parse_errors_carry_code_and_line(text, code, line_no):
     assert exc_info.value.line_no == line_no
 
 
+def test_file_parse_errors_lead_with_the_path(tmp_path):
+    path = tmp_path / "badflag.sepp"
+    path.write_text("ok\t0\t0\nfoo\t2\t.\n", encoding="utf-8")
+    with pytest.raises(SeppParseError) as exc_info:
+        parse_sepp_file(path)
+    assert (exc_info.value.code, exc_info.value.line_no) == ("BAD_FLAG", 2)
+    assert str(exc_info.value) == f"{path}: line 2: flag column must be 0 or 1, got '2'"
+    with pytest.raises(SeppParseError) as exc_info:
+        parse_sepp(path.read_text(encoding="utf-8"))
+    assert str(exc_info.value) == "line 2: flag column must be 0 or 1, got '2'"
+
+
 def test_blank_lines_skipped():
     doc = parse_sepp("a\t0\t0\n\n\nb\t1\t.\n")
     assert [t.word for t in doc.tokens] == ["a", "b"]
