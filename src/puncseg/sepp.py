@@ -141,6 +141,8 @@ def _parse_sepp(stream: str | Iterable[str], where: str) -> SeppDocument:
     A warning points at the caller of the public function that called this one.
     """
     error = partial(SeppParseError, where=where)
+    label_by_char = LABEL_BY_CHAR.get
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__, once per token
     tokens: list[LabeledToken] = []
     lines = stream.split("\n") if isinstance(stream, str) else stream
     for line_no, raw in enumerate(lines, start=1):
@@ -159,10 +161,9 @@ def _parse_sepp(stream: str | Iterable[str], where: str) -> SeppDocument:
             raise error("EMPTY_WORD", line_no, "empty word column")
         if flag not in ("0", "1"):
             raise error("BAD_FLAG", line_no, f"flag column must be 0 or 1, got {flag!r}")
-        try:
-            label = label_from_char(label_ch)
-        except KeyError:
-            raise error("BAD_LABEL", line_no, f"unknown label {label_ch!r}") from None
+        label = label_by_char(label_ch)
+        if label is None:
+            raise error("BAD_LABEL", line_no, f"unknown label {label_ch!r}")
         eos = flag == "1"
         if (label is _PERIOD and not eos) or (label is _NONE and eos):
             warnings.warn(
@@ -170,7 +171,7 @@ def _parse_sepp(stream: str | Iterable[str], where: str) -> SeppDocument:
                 SeppConsistencyWarning,
                 stacklevel=3,
             )
-        tokens.append(LabeledToken(word, eos, label))
+        tokens.append(new(LabeledToken, (word, eos, label)))
     return SeppDocument(tokens)
 
 

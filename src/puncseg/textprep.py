@@ -11,6 +11,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -171,6 +172,7 @@ def extract_labels(sentences: Iterable[list[str]]) -> SeppDocument:
     word before it is dropped.  The eos flag is set on full stops and on
     sentence-final words that carry some mark.
     """
+    none, period = PunctLabel.NONE, PunctLabel.PERIOD
     tokens: list[LabeledToken] = []
     for sent_no, sent in enumerate(sentences):
         words: list[str] = []
@@ -179,13 +181,13 @@ def extract_labels(sentences: Iterable[list[str]]) -> SeppDocument:
             if tok in DETACH_CHARS:
                 if not words:
                     continue
-                if labels[-1] is PunctLabel.NONE:
+                if labels[-1] is none:
                     mapped = DEFAULT_PUNCT_MAP.get(tok)
                     if mapped is not None:
                         labels[-1] = mapped
             else:
                 words.append(tok)
-                labels.append(PunctLabel.NONE)
+                labels.append(none)
         if not words:
             warnings.warn(
                 f"sentence {sent_no} contains only punctuation",
@@ -193,10 +195,11 @@ def extract_labels(sentences: Iterable[list[str]]) -> SeppDocument:
                 stacklevel=2,
             )
             continue
-        last = len(words) - 1
-        for i, (word, label) in enumerate(zip(words, labels)):
-            eos = label is PunctLabel.PERIOD or (i == last and label is not PunctLabel.NONE)
-            tokens.append(LabeledToken(word, eos, label))
+        eos = [label is period for label in labels]
+        if labels[-1] is not none:
+            eos[-1] = True
+        # tuple.__new__ skips the NamedTuple's Python-level __new__, once per token
+        tokens += map(tuple.__new__, repeat(LabeledToken), zip(words, eos, labels))
     return SeppDocument(tokens)
 
 

@@ -130,10 +130,33 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
-        "permutation-signs-from-the-third-byte", _METRICS,
-        "[3::4]",
-        "[2::4]",
-        (_METRICS_TESTS + "test_paired_significance_equals_the_per_bit_oracle",),
+        "permutation-gathers-one-bit-off", _METRICS,
+        "1 << (224 - 31 * t)",
+        "1 << (224 - 31 * t + 1)",
+        (
+            _METRICS_TESTS + "test_paired_significance_equals_the_per_bit_oracle",
+            _METRICS_TESTS + "test_paired_significance_matches_the_oracle_at_the_benchmark_shape"
+            "[random]",
+        ),
+    ),
+    Mutant(
+        "permutation-band-decided-by-the-grouped-sum", _METRICS,
+        "if abs(sum(map(pick, signed, signs)) / n) >= observed:\n                count += 1\n"
+        "    return (1 + count)",
+        "if grouped / n >= observed:\n                count += 1\n    return (1 + count)",
+        (
+            _METRICS_TESTS
+            + "test_paired_a_pattern_whose_grouped_sum_rounds_below_counts_by_its_in_order_sum",
+        ),
+    ),
+    Mutant(
+        "permutation-band-of-margin-0", _METRICS,
+        "margin = (n + 16) * 2**-52 * total",
+        "margin = 0.0",
+        (
+            _METRICS_TESTS
+            + "test_paired_a_pattern_whose_grouped_sum_rounds_below_counts_by_its_in_order_sum",
+        ),
     ),
     Mutant(
         "training-skip-goes-stale", _CLASSIFIER,
@@ -161,6 +184,16 @@ MUTANTS: tuple[Mutant, ...] = (
             _CLASSIFIER_TESTS + "test_training_equals_the_oracle_that_scores_every_step",
             _CLASSIFIER_TESTS + "test_pooled_examples_count_the_examples_the_oracle_lists",
             _CLASSIFIER_TESTS + "test_pooled_examples_merge_contexts_whose_feature_ids_coincide",
+        ),
+    ),
+    Mutant(
+        "extract-flags-every-sentence-end", _TEXTPREP,
+        "if labels[-1] is not none:",
+        "if labels:",
+        (
+            _TEXTPREP_TESTS + "test_extract_labels_equals_the_per_token_reference",
+            _TEXTPREP_TESTS
+            + "test_extract_labels_skips_a_punctuation_only_sentence_with_its_warning",
         ),
     ),
     Mutant(

@@ -469,6 +469,50 @@ def test_paired_significance_equals_the_per_bit_oracle(pairs, permutations, seed
     assert got == brute_force_significance(a, b, permutations, seed)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [([0.3, 0.5, 0.7, 0.2], [0.3, 0.5, 0.7, 0.2]),  # identical: every difference is 0
+     ([0.5, 0.1, 0.7, 0.2], [0.1, 0.5, 0.2, 0.7])],  # differences that cancel in pairs
+)
+@pytest.mark.parametrize("permutations", [16, 1000, 15, 3])  # exhaustive twice, then sampled
+def test_paired_a_zero_statistic_gives_exactly_one_in_both_branches(a, b, permutations):
+    # every finite |S| / n is at least 0, so every pattern counts
+    assert sum(x - y for x, y in zip(a, b)) == 0
+    assert paired_significance(a, b, permutations=permutations, seed=5) == 1.0
+    assert brute_force_significance(a, b, permutations, 5) == 1.0
+
+
+def test_paired_a_pattern_whose_grouped_sum_rounds_below_counts_by_its_in_order_sum():
+    # Fourteen differences of 0.1 sum in order to 1.4000000000000001, but as
+    # 8 + 6, the way the sampled branch's tables group them, to 1.4, and
+    # 1.4 / 14 < 1.4000000000000001 / 14.  An all-same-sign pattern therefore
+    # counts only if it is decided by its in-order sum.
+    diffs = [0.1] * 14
+    assert sum(diffs) == 1.4000000000000001
+    assert sum(diffs[:8]) + sum(diffs[8:]) == 1.4
+    assert abs(1.4 / 14) < abs(sum(diffs) / 14)
+    permutations, seed = 1000, 16
+    rng = random.Random(seed)  # the oracle's draws: seed 16 draws such a pattern
+    patterns = [{rng.getrandbits(1) for _ in diffs} for _ in range(permutations)]
+    assert permutations < 2**14 and ({0} in patterns or {1} in patterns)
+    got = paired_significance(diffs, [0.0] * 14, permutations=permutations, seed=seed)
+    assert got == brute_force_significance(diffs, [0.0] * 14, permutations, seed)
+    assert got == (1 + sum(len(p) == 1 for p in patterns)) / (1 + permutations)
+
+
+@pytest.mark.parametrize("case", ["ties", "random"])
+def test_paired_significance_matches_the_oracle_at_the_benchmark_shape(case):
+    # the research loop's comparison: 100 blocks, 10,000 sampled patterns
+    if case == "ties":
+        a, b = [1 / 3] * 96 + [0.0] * 4, [0.0] * 100
+    else:
+        rng = random.Random(20)
+        a = [rng.random() for _ in range(100)]
+        b = [rng.random() for _ in range(100)]
+    got = paired_significance(a, b, permutations=10000, seed=20)
+    assert got == brute_force_significance(a, b, 10000, 20)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 20, -7, 2**70])
 @pytest.mark.parametrize("n", [1, 2, 101])
 def test_getrandbits_packs_successive_32_bit_outputs_least_significant_first(seed, n):

@@ -70,6 +70,7 @@ def test_parse_fragment_order_preserved():
         ("word\t0\t;\n", "BAD_LABEL", 1),
         ("\t0\t0\n", "EMPTY_WORD", 1),
         ("fine\t0\t0\n\nbad line here\n", "LINE_FORMAT", 3),
+        ("word\t0\t\n", "BAD_LABEL", 1),  # an empty label column
     ],
 )
 def test_parse_errors_carry_code_and_line(text, code, line_no):
@@ -77,6 +78,33 @@ def test_parse_errors_carry_code_and_line(text, code, line_no):
         parse_sepp(text)
     assert exc_info.value.code == code
     assert exc_info.value.line_no == line_no
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a\tb\n", "line 1: expected 3 tab-separated fields, got 2"),
+        ("ok\t0\t0\n\t0\t0\n", "line 2: empty word column"),
+        ("foo\t2\t.\n", "line 1: flag column must be 0 or 1, got '2'"),
+        ("word\t0\t\n", "line 1: unknown label ''"),
+        # a BOM, CRLF ends and a blank line: the blank line still counts
+        ("\ufeffa\t0\t0\r\n\r\nb\t1\t;\r\n", "line 3: unknown label ';'"),
+    ],
+)
+def test_parse_error_messages_keep_their_text(text, message):
+    with pytest.raises(SeppParseError) as exc_info:
+        parse_sepp(text)
+    assert str(exc_info.value) == message
+
+
+def test_parsed_tokens_are_labeled_tokens():
+    doc = parse_sepp(["\ufeffa\t0\t0\r\n", "\r\n", "  \n", "b\t1\t.\r\n", "c\t0\t?"])
+    assert doc.tokens == [("a", False, PunctLabel.NONE), ("b", True, PunctLabel.PERIOD),
+                          ("c", False, PunctLabel.QUESTION)]
+    for tok in doc.tokens:
+        assert type(tok) is LabeledToken
+        assert (tok.word, tok.eos, tok.label) == tok
+        assert type(tok.eos) is bool
 
 
 def test_file_parse_errors_lead_with_the_path(tmp_path):

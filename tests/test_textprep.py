@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from puncseg.errors import EmptyCorpusError, EmptySentenceWarning, TooFewUnitsError
 from puncseg.sepp import LabeledToken, PunctLabel, SeppDocument
 from puncseg.textprep import (
+    DEFAULT_PUNCT_MAP,
     DETACH_CHARS,
     SplitSpec,
     TruecaseModel,
@@ -175,6 +176,45 @@ def test_extract_labels_punct_only_sentence_warns():
     with pytest.warns(EmptySentenceWarning):
         doc = extract_labels([[".", "!"], ["ok", "."]])
     assert [t.word for t in doc.tokens] == ["ok"]
+
+
+def _extract_labels_per_token(sentences):
+    """extract_labels' rows, each built by ``LabeledToken(...)`` as it is read."""
+    tokens = []
+    for sent in sentences:
+        words = [(i, tok) for i, tok in enumerate(sent) if tok not in DETACH_CHARS]
+        for k, (i, word) in enumerate(words):
+            stop = words[k + 1][0] if k + 1 < len(words) else len(sent)
+            marks = [DEFAULT_PUNCT_MAP.get(tok) for tok in sent[i + 1 : stop]]
+            label = next((m for m in marks if m is not None), N)
+            eos = label is P or (k == len(words) - 1 and label is not N)
+            tokens.append(LabeledToken(word, eos, label))
+    return tokens
+
+
+def test_extract_labels_equals_the_per_token_reference():
+    sentences = [
+        ["zouden", "openen", "."],  # a mark at the end
+        ["vraag", ":", "kunnen", ",", "wij", "gaan"],  # marks in the middle, none at the end
+        ['"', "(", "citaat", '"', ".", "!"],  # leading punctuation, a transparent mark
+        ["echt", "?", "waar", "?", "ja"],
+        ["kom", ";", "-", "mee", "!"],
+    ]
+    doc = extract_labels(sentences)
+    assert doc.tokens == _extract_labels_per_token(sentences)
+    for tok in doc.tokens:
+        assert type(tok) is LabeledToken
+        assert (tok.word, tok.eos, tok.label) == tok
+
+
+def test_extract_labels_skips_a_punctuation_only_sentence_with_its_warning():
+    sentences = [["ok", "."], [".", "!", '"'], ["nog", "een"]]
+    with pytest.warns(EmptySentenceWarning) as caught:
+        doc = extract_labels(sentences)
+    assert [str(w.message) for w in caught] == ["sentence 1 contains only punctuation"]
+    assert caught[0].filename == __file__  # stacklevel 2: the line that called extract_labels
+    assert doc.tokens == _extract_labels_per_token(sentences)
+    assert doc.tokens == [("ok", True, P), ("nog", False, N), ("een", False, N)]
 
 
 def test_extract_labels_projection_property():
