@@ -199,17 +199,18 @@ class LinearModel:
     misses is scored from the weight rows of its words, which a second
     bounded memo keeps per word: the rows of the word's six feature ids,
     ``_ZERO_ROW`` where the model has no row, so each word's ids are
-    hashed and looked up once.  A call's first miss fetches the rows of
-    every window word, and each missed context adds its eight rows label
-    by label in ``_context_ids`` order.  A zero row in place of an absent
-    one, like a sum that starts at the first row instead of at 0.0, can
-    change a score only in the sign of a zero, which no comparison sees:
-    the labels are those of adding the present rows alone.  Each weight
-    row is a tuple of floats, which the cyclic garbage collector stops
-    tracking, so a model's rows neither add to a full collection's work
-    nor bring one on sooner.  A label reads words ``j-1 .. j+2``, the
-    offset bucket capped at 4 and ``is_last``, so four words of context
-    on each side decide it.
+    hashed and looked up once.  ``classify`` walks the call's contexts in
+    one loop: a hit appends its cached label, the call's first miss
+    fetches the rows of every window word (a call that only hits fetches
+    none), and each missed context adds its eight rows label by label in
+    ``_context_ids`` order.  A zero row in place of an absent one, like a
+    sum that starts at the first row instead of at 0.0, can change a score
+    only in the sign of a zero, which no comparison sees: the labels are
+    those of adding the present rows alone.  Each weight row is a tuple of
+    floats, which the cyclic garbage collector stops tracking, so a
+    model's rows neither add to a full collection's work nor bring one on
+    sooner.  A label reads words ``j-1 .. j+2``, the offset bucket capped
+    at 4 and ``is_last``, so four words of context on each side decide it.
     """
 
     name = "linear"
@@ -238,25 +239,19 @@ class LinearModel:
         if not window:
             raise EmptyWindowError("classify needs at least one word")
         cache = self._label_cache
-        keys = _window_keys(window)
+        padded = None
         out: list[PunctLabel] = []
-        for key in keys:
+        for key in _window_keys(window):
             idx = cache.get(key)
             if idx is None:
-                break
-            out.append(LABELS[idx])
-        else:
-            return out
-        # the first miss: fetch each window word's rows once, padded like the keys
-        rows = self._rows
-        end = rows(_EOS)
-        padded = [rows(_BOS), *map(rows, window), end, end]
-        bucket_rows = self._bucket_rows
-        last_rows = self._last_rows
-        for j in range(len(out), len(keys)):
-            key = keys[j]
-            idx = cache.get(key)
-            if idx is None:
+                j = len(out)  # the key's window position
+                if padded is None:
+                    # the first miss: fetch each window word's rows once, padded like the keys
+                    rows = self._rows
+                    end = rows(_EOS)
+                    padded = [rows(_BOS), *map(rows, window), end, end]
+                    bucket_rows = self._bucket_rows
+                    last_rows = self._last_rows
                 if len(cache) >= _LABEL_CACHE_MAX:
                     cache.clear()
                 # the rows of _context_ids(*key), in its order, one float local per label
@@ -333,13 +328,17 @@ def train_reference(
 
     Examples are pooled over all documents (equal ones counted, see
     :func:`_pooled_examples`), shuffled once per epoch with the seeded
-    RNG, and the returned weights are the running average over every
-    training step.  Updates fire whenever the gold label fails to
-    strictly outscore every other label (the zero-margin variant), which
-    keeps the averaged weights from drifting on ties.  Weights change only
-    in an update, so an example scored correct, or one equal to it, is not
-    scored again until the next update, and the epochs after one without
-    a mistake are not run: every skipped step still counts toward the
+    RNG, and the returned weights are the average over every training
+    step.  Each update of ``delta`` (+1 or -1) at step ``t`` also adds
+    ``delta * (t - 1)`` to the weight's int offset, so after ``T`` steps
+    ``weight * T - offset`` is the weight summed over every step, an exact
+    int, and the average is that int divided by ``T`` once, correctly
+    rounded.  Updates fire whenever the gold label fails to strictly
+    outscore every other label (the zero-margin variant), which keeps the
+    averaged weights from drifting on ties.  Weights change only in an
+    update, so an example scored correct, or one equal to it, is not
+    scored again until the next update, and the epochs after one without a
+    mistake are not run: every skipped step still counts toward the
     average, and the weights equal those of scoring every step.  ``epochs``,
     ``seed`` and ``window_words`` must be ints (ConfigError otherwise).
     The model file stores ``seed`` as int64 and ``epochs`` as uint32, so
@@ -360,20 +359,15 @@ def train_reference(
         raise EmptyTrainingSetError("no training tokens")
 
     weights: dict[int, list[float]] = {}
-    totals: dict[int, list[float]] = {}
-    stamps: dict[int, list[int]] = {}
+    offsets: dict[int, list[int]] = {}
 
-    def update(fid: int, c: int, delta: float, step: int) -> None:
+    def update(fid: int, c: int, delta: int, step: int) -> None:
         row = weights.get(fid)
         if row is None:
             row = weights[fid] = [0.0] * N_LABELS
-            totals[fid] = [0.0] * N_LABELS
-            stamps[fid] = [0] * N_LABELS
-        tot = totals[fid]
-        st = stamps[fid]
-        tot[c] += row[c] * (step - 1 - st[c])
-        st[c] = step - 1
+            offsets[fid] = [0] * N_LABELS
         row[c] += delta
+        offsets[fid][c] += delta * (step - 1)
 
     # Each distinct example is one slot, and ``order`` holds the slot of
     # every example of the sorted pool: each slot ``count`` times, in turn.
@@ -406,18 +400,17 @@ def train_reference(
                 rival = scores.index(top)
                 updates += 1
                 for fid in ids:
-                    update(fid, gold, 1.0, step)
-                    update(fid, rival, -1.0, step)
+                    update(fid, gold, 1, step)
+                    update(fid, rival, -1, step)
             else:
                 clean_at[slot] = updates
 
-    step = epochs * len(order)
+    steps = epochs * len(order)
     averaged: dict[int, tuple[float, ...]] = {}
-    if step:
+    if steps:
         for fid, row in weights.items():
-            tot = totals[fid]
-            st = stamps[fid]
-            avg = tuple([(tot[c] + row[c] * (step - st[c])) / step for c in range(N_LABELS)])
+            off = offsets[fid]
+            avg = tuple([(int(row[c]) * steps - off[c]) / steps for c in range(N_LABELS)])
             if any(avg):
                 averaged[fid] = avg
     return LinearModel(averaged, seed=seed, epochs=epochs)

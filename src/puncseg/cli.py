@@ -180,6 +180,8 @@ def cmd_prepare(args: argparse.Namespace) -> int:
     sentences = [textprep.truecase(sent, model) for sent in sentences]
 
     doc = textprep.extract_labels(sentences)
+    if not doc.tokens:
+        raise TooFewUnitsError("input corpus has no words")
     text = write_sepp(doc)  # before any output: a word SEPP cannot hold fails here
     if model_path and trained:
         model.save(model_path)

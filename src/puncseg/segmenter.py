@@ -465,12 +465,11 @@ def decide(
     candidates = [c for c in range(1, N_LABELS) if not (pooled and c in seg_set)]
     theta = cfg.theta
     mark_theta = _mark_theta(cfg)
-    none = PunctLabel.NONE  # a local: reading the enum member per word costs more
     b = a + len(settled)
-    labels = [none] * len(rows)
+    labels = [PunctLabel.NONE] * len(rows)
     labels[a:b] = settled
     boundaries = {
-        i for i, label in enumerate(settled, a) if label is not none and label.index in seg_set
+        i for i, label in enumerate(settled, a) if label.index in seg_set
     } if settled else set()
     for i in chain(range(a), range(b, len(rows))):  # the rows of [a, b) are never read
         row = rows[i]

@@ -168,6 +168,12 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
     ),
     Mutant(
+        "training-offset-counts-its-own-step", _CLASSIFIER,
+        "delta * (step - 1)",
+        "delta * step",
+        (_CLASSIFIER_TESTS + "test_training_equals_the_oracle_that_scores_every_step",),
+    ),
+    Mutant(
         "decide-skips-on-the-period-votes", _SEGMENTER,
         "marks = cov - row[0]",
         "marks = cov - row[1]",

@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpora import template_corpus
@@ -141,9 +141,20 @@ def _contradicting_corpora(draw):
     return docs
 
 
+# 200 copies of a corpus whose "a b" is seen as "a b," and "a b.", trained for
+# 60 epochs: 96,000 steps and about 40,000 updates put the weight offsets near
+# 80,000, where the drawn corpora, of a few hundred steps, stay near 1,000
+_LONG_CONTRADICTING = [
+    _doc([("a", C), ("b", N), ("Dat", P), ("1", PunctLabel.QUESTION)]),
+    _doc([("a", N), ("b", C)]),
+    _doc([("a", N), ("b", P)]),
+] * 200
+
+
 @settings(max_examples=150, deadline=None)
 @given(_contradicting_corpora(), st.integers(0, 4), st.integers(-(2**63), 2**63 - 1),
        st.integers(1, 6))
+@example(_LONG_CONTRADICTING, 60, 0, 1)
 def test_training_equals_the_oracle_that_scores_every_step(docs, epochs, seed, window_words):
     model = train_reference(docs, epochs=epochs, seed=seed, window_words=window_words)
     want = brute_force_train(brute_force_examples(docs, window_words), epochs, seed)

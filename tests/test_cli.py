@@ -9,6 +9,7 @@ from corpora import template_corpus
 from puncseg import cli, metrics, segmenter
 from puncseg.classifier import load_model, save_model, train_reference
 from puncseg.cli import _SHARED, build_parser, main, resolve_settings
+from puncseg.errors import EmptySentenceWarning
 from puncseg.sepp import (
     LabeledToken,
     PunctLabel,
@@ -62,6 +63,20 @@ def test_prepare_empty_input_fails(tmp_path, capsys):
     code, _, err = run(capsys, "prepare", str(raw), "--out", str(tmp_path / "out.tsv"))
     assert code != 0
     assert "TOO_FEW_UNITS" in err
+
+
+def test_prepare_a_corpus_with_no_words_fails_before_writing(tmp_path, capsys):
+    raw = tmp_path / "raw.txt"
+    raw.write_text("...\n?!\n", encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    model = tmp_path / "truecase.model"
+    with pytest.warns(EmptySentenceWarning):
+        code, _, err = run(capsys, "prepare", str(raw), "--out", str(out),
+                           "--truecase-model", str(model))
+    assert code == 1
+    assert "error: [TOO_FEW_UNITS]" in err
+    assert not out.exists()
+    assert not model.exists()
 
 
 def test_prepare_is_deterministic(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,3 +23,11 @@ def test_each_mutant_still_applies_once_and_names_existing_tests(mutant):
     for test_id in mutant.kills:
         path, _, name = test_id.partition("::")
         assert f"def {name.partition('[')[0]}(" in (ROOT / path).read_text(encoding="utf-8")
+
+
+def test_run_mutants_refuses_an_unknown_name_before_running_any_test():
+    command = [sys.executable, str(ROOT / "tools" / "run_mutants.py"), "no-such-mutant"]
+    done = subprocess.run(command, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "unknown mutant: no-such-mutant" in done.stderr
+    assert done.stdout == ""

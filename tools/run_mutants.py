@@ -2,15 +2,16 @@
 
 Usage, from the repository root::
 
-    python tools/run_mutants.py
+    python tools/run_mutants.py [NAME ...]
 
-Each test that must kill a mutant first runs once on the repository itself,
-where it must pass.  Then, for each mutant, ``src/``, ``tests/`` and
-``pyproject.toml`` are copied into a fresh temporary directory (set
-``TMPDIR`` to choose where), the mutant's snippet is replaced there, and each
-of its tests runs in its own pytest process, one at a time.  Prints one line
-per mutant and exits 1 when a test passed on its mutant, or a run ended in
-anything but a pass or a failure.
+With names, only those mutants run, and an unknown name exits 2 before any
+test runs; with none, every mutant runs.  Each test that must kill a mutant
+first runs once on the repository itself, where it must pass.  Then, for
+each mutant, ``src/``, ``tests/`` and ``pyproject.toml`` are copied into a
+fresh temporary directory (set ``TMPDIR`` to choose where), the mutant's
+snippet is replaced there, and each of its tests runs in its own pytest
+process, one at a time.  Prints one line per mutant and exits 1 when a test
+passed on its mutant, or a run ended in anything but a pass or a failure.
 """
 
 from __future__ import annotations
@@ -45,15 +46,21 @@ def _run(tree: Path, test_id: str) -> int:
     return done.returncode
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    known = {m.name for m in MUTANTS}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    mutants = [m for m in MUTANTS if not names or m.name in names]
     bad = 0
-    for test_id in sorted({t for m in MUTANTS for t in m.kills}):
+    for test_id in sorted({t for m in mutants for t in m.kills}):
         code = _run(ROOT, test_id)
         if code != PASSED:
             print(f"unmutated tree: {test_id} ended with exit code {code}")
             bad += 1
     with tempfile.TemporaryDirectory() as work:
-        for mutant in MUTANTS:
+        for mutant in mutants:
             tree = Path(work, mutant.name)
             _copy_tree(tree)
             path = tree / mutant.file
@@ -75,4 +82,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
